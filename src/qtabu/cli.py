@@ -27,6 +27,7 @@ from .mapsearch import (
 from .qasm import QasmParseError, parse, serialize
 from .routing import MapFormatError, RoutingError, parse_coupling_map, route
 from .statevector import (
+    MAX_QUBITS,
     MeasureOp,
     branch_probabilities,
     normalize_counts,
@@ -237,10 +238,10 @@ def cmd_search_map(args: argparse.Namespace) -> int:
     else:
         n_physical = args.physical if args.physical is not None else program.n_qubits
         candidates = all_directed_pairs(n_physical)
-        if len(candidates) > 20:
+        if len(candidates) > MAX_QUBITS:
             raise _UsageError(
                 f"{n_physical} physical qubits give {len(candidates)} candidate edges "
-                "(limit 20); pass --candidates with an explicit pair list"
+                f"(limit {MAX_QUBITS}); pass --candidates with an explicit pair list"
             )
     problem = MapSearchProblem(program, candidates, args.budget)
     config = SearchConfig(

@@ -1,10 +1,15 @@
 """Quantum-inspired tabu search for 0/1 knapsack-style selection problems.
 
-The population is a statevector over one qubit per item. Candidates are
+The population is a quantum state over one qubit per item. Candidates are
 drawn from it by Born-rule sampling, improved by single-bit-flip moves
 under a tabu list with an aspiration rule, and when the search stagnates
 the population itself is perturbed with a gate (an entangling cx or an h)
 before resampling.
+
+Only those gates ever reach the population, so it is always a product of
+small blocks (the Q-bit individual of quantum-inspired evolutionary
+algorithms). ``Population`` stores it that way, as dense one- and two-qubit
+blocks, instead of as one array of ``2**n_items`` amplitudes.
 
 Fitness is profit times a soft capacity penalty:
 
@@ -15,18 +20,27 @@ which goes negative when the load exceeds capacity by more than one unit.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, Gate, GateOp, StateVector, apply_gate, probabilities, zero_state
+from .statevector import MAX_QUBITS, Gate, GateOp, StateVector, apply_gate, probabilities
 
-PopulationMode = str  # "with_replacement" | "without_replacement"
+PopulationMode = Literal["with_replacement", "without_replacement"]
 CandidateSolution = tuple[int, ...]  # one 0/1 selection bit per item
 
-_MODES = ("with_replacement", "without_replacement")
+_MODES = get_args(PopulationMode)
+_SQRT2_INV = 2.0 ** -0.5  # the amplitude h puts on each basis state
+_PLUS = (_SQRT2_INV, _SQRT2_INV)
+_BELL = (_SQRT2_INV, 0.0, 0.0, _SQRT2_INV)
+# Rescaled draws stay below 1, so every block lookup lands on an entry of
+# positive weight.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -44,13 +58,28 @@ class KnapsackInstance:
             )
         if not self.profits:
             raise ValueError("instance must have at least one item")
+        for name, values in (("profits", self.profits), ("weights", self.weights)):
+            for k, value in enumerate(values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name}[{k}] must be finite, got {value!r}")
+        for k, value in enumerate(self.weights):
+            if value < 0:
+                raise ValueError(f"weights[{k}] must be >= 0, got {value!r}")
+        if not math.isfinite(self.max_capacity):
+            raise ValueError(f"max_capacity must be finite, got {self.max_capacity!r}")
+        arrays = tuple(np.array(values, dtype=float) for values in (self.profits, self.weights))
+        for array in arrays:
+            array.flags.writeable = False
+        # Built once: the engine reads them twice per iteration.
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def n_items(self) -> int:
         return len(self.profits)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.profits, dtype=float), np.asarray(self.weights, dtype=float)
+        """Profits and weights as read-only float arrays."""
+        return self._arrays
 
 
 def parse_instance(text: str) -> KnapsackInstance:
@@ -99,11 +128,89 @@ class SearchConfig:
     seed: int | None = None
 
 
+class Population:
+    """A product state stored as dense blocks over contiguous qubit ranges.
+
+    ``blocks`` are ordered from the lowest qubits up; qubit ``starts[j] + b``
+    is bit ``b`` of block ``j``'s basis index, so the full state is
+    ``kron(blocks[-1], ..., blocks[0])``. A gate acts on the block that owns
+    its qubits; a gate spanning blocks first merges them, together with the
+    blocks between, into one, so any gate sequence stays exact.
+    """
+
+    def __init__(self, blocks: list[StateVector]) -> None:
+        self.blocks = blocks
+        self.starts = [0, *accumulate(block.n_qubits for block in blocks[:-1])]
+        self.n_qubits = sum(block.n_qubits for block in blocks)
+        # Each block's normalized CDF, built on first use and dropped when a
+        # gate changes the block.
+        self._cdfs: list[list[float] | None] = [None] * len(blocks)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense ``2**n_qubits`` amplitudes, as a new array."""
+        return _kron(self.blocks).copy()
+
+    def apply(self, op: GateOp) -> None:
+        """Apply one unconditioned gate in place."""
+        qubits = (op.target,) if op.control is None else (op.target, op.control)
+        for qubit in qubits:
+            if not 0 <= qubit < self.n_qubits:
+                raise IndexError(f"qubit {qubit} out of range for {self.n_qubits} qubits")
+        first = bisect_right(self.starts, min(qubits)) - 1
+        last = bisect_right(self.starts, max(qubits)) - 1
+        if last > first:
+            merged = self.blocks[first : last + 1]
+            self.blocks[first : last + 1] = [
+                StateVector(sum(block.n_qubits for block in merged), _kron(merged))
+            ]
+            del self.starts[first + 1 : last + 1]
+            del self._cdfs[first + 1 : last + 1]
+        offset = self.starts[first]
+        local_control = None if op.control is None else op.control - offset
+        apply_gate(self.blocks[first], replace(op, target=op.target - offset, control=local_control))
+        self._cdfs[first] = None
+
+    def sample(self, u: float) -> CandidateSolution:
+        """The basis state at ``u`` in [0, 1) of the dense inverse CDF.
+
+        Walks the blocks from the highest qubits down: ``u`` picks an entry of
+        the block's CDF (the first entry above ``u``, as
+        ``searchsorted(side="right")`` does), and its position inside that
+        entry, rescaled to [0, 1), goes on to the next block. This is the
+        index the dense ``2**n`` CDF gives for ``u``.
+        """
+        index = 0
+        for j in range(len(self.blocks) - 1, -1, -1):
+            cdf = self._cdfs[j]
+            if cdf is None:
+                cdf = np.cumsum(probabilities(self.blocks[j]))
+                cdf /= cdf[-1]
+                cdf = self._cdfs[j] = cdf.tolist()
+            k = bisect_right(cdf, u)
+            low = cdf[k - 1] if k else 0.0
+            u = min((u - low) / (cdf[k] - low), _BELOW_ONE)
+            index = (index << self.blocks[j].n_qubits) | k
+        return tuple((index >> q) & 1 for q in range(self.n_qubits))
+
+
+def _kron(blocks: list[StateVector]) -> np.ndarray:
+    amplitudes = blocks[0].amplitudes
+    for block in blocks[1:]:
+        amplitudes = np.kron(block.amplitudes, amplitudes)
+    return amplitudes
+
+
+def _as_population(population: Population | StateVector) -> Population:
+    """A dense state acts as a one-block population sharing its amplitudes."""
+    return population if isinstance(population, Population) else Population([population])
+
+
 @dataclass
 class SearchState:
     """Mutable state threaded through one search run."""
 
-    population: StateVector
+    population: Population | StateVector
     current: CandidateSolution
     best_solution: CandidateSolution
     best_evaluation: float
@@ -122,55 +229,37 @@ class SearchResult:
     trace: list[tuple[int, float, float]]
 
 
-def init_population(
-    n_items: int,
-    mode: PopulationMode = "with_replacement",
-    rng: np.random.Generator | None = None,
-) -> StateVector:
+def init_population(n_items: int, mode: PopulationMode = "with_replacement") -> Population:
     """Prepare the population state.
 
     ``with_replacement`` puts every qubit in ``|+>`` (uniform over all
     selections). ``without_replacement`` entangles item pairs (2k, 2k+1)
     into Bell states so paired items are sampled together, with a lone
-    trailing item left in ``|+>``. ``rng`` is accepted for interface
-    symmetry with the sampling ops; preparation itself is deterministic.
+    trailing item left in ``|+>``. Each ``|+>`` or Bell block is built
+    directly; no ``2**n_items`` array is made.
     """
     if not 1 <= n_items <= MAX_QUBITS:
         raise ValueError(f"n_items must be in 1..{MAX_QUBITS}, got {n_items}")
     if mode not in _MODES:
         raise ValueError(f"unknown population mode {mode!r}")
-    state = zero_state(n_items)
     if mode == "with_replacement":
-        for qubit in range(n_items):
-            apply_gate(state, GateOp(Gate.H, qubit))
+        blocks = [_PLUS] * n_items
     else:
-        for qubit in range(0, n_items - 1, 2):
-            apply_gate(state, GateOp(Gate.H, qubit))
-            apply_gate(state, GateOp(Gate.CX, qubit + 1, control=qubit))
-        if n_items % 2 == 1:
-            apply_gate(state, GateOp(Gate.H, n_items - 1))
-    return state
+        blocks = [_BELL] * (n_items // 2) + [_PLUS] * (n_items % 2)
+    return Population(
+        [StateVector(len(amps).bit_length() - 1, np.array(amps, dtype=complex)) for amps in blocks]
+    )
 
 
-def sample_candidate(population: StateVector, rng: np.random.Generator) -> CandidateSolution:
-    """Draw one selection from the population without collapsing it."""
-    probs = probabilities(population)
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    index = int(np.searchsorted(cdf, rng.random(), side="right"))
-    index = min(index, probs.size - 1)
-    return tuple((index >> k) & 1 for k in range(population.n_qubits))
+def sample_candidate(
+    population: Population | StateVector, rng: np.random.Generator
+) -> CandidateSolution:
+    """Draw one selection from the population without collapsing it.
 
-
-def neighborhood(bits: Sequence[int]) -> list[CandidateSolution]:
-    """All single-bit-flip neighbors, in item order."""
-    base = list(bits)
-    neighbors = []
-    for k in range(len(base)):
-        flipped = list(base)
-        flipped[k] ^= 1
-        neighbors.append(tuple(flipped))
-    return neighbors
+    One uniform draw picks the basis state by the inverse CDF over the basis
+    index (qubit 0 least significant).
+    """
+    return _as_population(population).sample(rng.random())
 
 
 def _flip_scores(instance: KnapsackInstance, bits: Sequence[int]) -> np.ndarray:
@@ -195,13 +284,15 @@ def select_move(
     """
     while state.tabu_list and state.tabu_list[0][1] < state.iteration:
         state.tabu_list.popleft()
-    scores = _flip_scores(instance, state.current)
+    # A plain loop over Python floats: at ten items it beats a numpy mask
+    # and argmax, whose per-call overhead dominates arrays this small.
+    scores = _flip_scores(instance, state.current).tolist()
     tabu_items = {item for item, _ in state.tabu_list}
     best_k = -1
-    for k in range(len(scores)):
-        if k in tabu_items and scores[k] <= state.best_evaluation:
+    for k, score in enumerate(scores):
+        if k in tabu_items and score <= state.best_evaluation:
             continue
-        if best_k == -1 or scores[k] > scores[best_k]:
+        if best_k == -1 or score > scores[best_k]:
             best_k = k
     if best_k == -1:
         best_k = state.tabu_list[0][0]
@@ -221,9 +312,10 @@ def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
     """
     bits = state.best_solution
     if len(bits) >= 2 and bits[0] != bits[1]:
-        apply_gate(state.population, GateOp(Gate.CX, 1, control=0))
+        op = GateOp(Gate.CX, 1, control=0)
     else:
-        apply_gate(state.population, GateOp(Gate.H, 1 if len(bits) >= 2 else 0))
+        op = GateOp(Gate.H, 1 if len(bits) >= 2 else 0)
+    _as_population(state.population).apply(op)
     state.current = sample_candidate(state.population, rng)
     state.best_iteration = state.iteration
     return state

@@ -211,6 +211,21 @@ def test_exit_code_parse_error_bad_instance(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 3\nnan 1\n4 2\n", "profits[0] must be finite, got nan"),
+        ("2 3\n5 1\n4 -2\n", "weights[1] must be >= 0, got -2.0"),
+    ],
+)
+def test_exit_code_rejected_instance_values(tmp_path, capsys, text, message):
+    instance = write(tmp_path, "inst.txt", text)
+    code, out, err = run_cli(capsys, ["qts", instance, "--seed", "0"])
+    assert code == 2
+    assert out == ""
+    assert f"parse error: {message}" in err
+
+
 def test_exit_code_routing_error(tmp_path, capsys):
     circuit = write(tmp_path, "cx.qasm", SINGLE_CX)
     cmap = write(tmp_path, "map.txt", "[[2, 3]]")

@@ -14,7 +14,6 @@ from qtabu.tabu import (
     escape,
     fitness,
     init_population,
-    neighborhood,
     parse_instance,
     qts_run,
     sample_candidate,
@@ -27,6 +26,14 @@ def test_instance_validation():
         KnapsackInstance((1.0, 2.0), (1.0,), 5.0)
     with pytest.raises(ValueError, match="at least one"):
         KnapsackInstance((), (), 5.0)
+    with pytest.raises(ValueError, match=r"profits\[1\] must be finite"):
+        KnapsackInstance((1.0, float("inf")), (1.0, 1.0), 5.0)
+    with pytest.raises(ValueError, match=r"weights\[0\] must be finite"):
+        KnapsackInstance((1.0,), (float("nan"),), 5.0)
+    with pytest.raises(ValueError, match=r"weights\[0\] must be >= 0"):
+        KnapsackInstance((1.0,), (-0.5,), 5.0)
+    with pytest.raises(ValueError, match="max_capacity must be finite"):
+        KnapsackInstance((1.0,), (1.0,), float("nan"))
 
 
 def test_parse_instance_round_values():
@@ -135,14 +142,6 @@ def test_sample_candidate_matches_probabilities_3sigma():
         bits = tuple((index >> k) & 1 for k in range(3))
         sigma = np.sqrt(draws * p * (1 - p)) if 0 < p < 1 else 0.0
         assert abs(counts.get(bits, 0) - draws * p) <= 3 * sigma + 1e-9
-
-
-def test_neighborhood_flips_each_bit():
-    assert neighborhood((0, 0)) == [(1, 0), (0, 1)]
-    assert neighborhood((1, 0, 1)) == [(0, 0, 1), (1, 1, 1), (1, 0, 0)]
-    rng = np.random.default_rng(5)
-    bits = tuple(int(b) for b in rng.integers(0, 2, size=7))
-    assert len(neighborhood(bits)) == 7
 
 
 def _state_for_select(current, best_eval, tabu=(), iteration=1) -> SearchState:
