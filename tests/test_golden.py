@@ -1,11 +1,12 @@
 """Seeded engine output pinned by digest.
 
 Each test hashes ``(best_solution, best_evaluation, best_iteration, trace)``
-of a fixed set of seeded runs, rendered with ``repr`` so every float and
-the type of every bit count. The digests were recorded from the dense
-2^n-amplitude population; any change in sampling order, move selection or
-fitness arithmetic changes them. A deliberate change to seeded output
-re-records them and says so in CHANGES.md.
+of a fixed set of seeded runs, rendered with ``repr``, so every digit of
+every float and the type of every bit is part of the digest. The digests
+were recorded from the dense 2^n-amplitude population; any change in
+sampling order, move selection or fitness arithmetic changes them. A
+deliberate change to seeded output re-records them and says so in
+CHANGES.md.
 """
 
 from __future__ import annotations
