@@ -24,7 +24,7 @@ from .mapsearch import (
     reference_map,
     search_best_map,
 )
-from .qasm import QasmParseError, parse, serialize
+from .qasm import Program, QasmParseError, compact, parse, serialize
 from .routing import MapFormatError, RoutingError, parse_coupling_map, route
 from .statevector import (
     MAX_QUBITS,
@@ -168,8 +168,23 @@ def _cbit_key(cbits: list[int]) -> str:
     return "".join(str(b) for b in reversed(cbits))
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+def _shot_counts(program: Program, shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """Run ``program`` once per shot and count its classical-register values.
+
+    The shots run the compacted program: qubits no instruction touches
+    would stay in |0> and change no outcome.
+    """
+    compacted = compact(program)
+    counts: dict[str, int] = {}
+    for _ in range(shots):
+        _, cbits = run_program(compacted, rng)
+        key = _cbit_key(cbits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _route_circuit(args: argparse.Namespace) -> Program:
+    """Parse and route ``args.circuit``; print the routing summary to stderr."""
     program = parse(_read(args.circuit))
     routed, report = route(program, _load_map(args.map))
     print(
@@ -177,14 +192,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"swaps={report.swap_count} inserted={report.inserted_gate_count}",
         file=sys.stderr,
     )
+    return routed
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    seed = _resolve_seed(args)
+    routed = _route_circuit(args)
     rng = np.random.default_rng(seed)
     if any(isinstance(ins, MeasureOp) for ins in routed.instructions):
-        counts: dict[str, int] = {}
-        for _ in range(args.shots):
-            _, cbits = run_program(routed, rng)
-            key = _cbit_key(cbits)
-            counts[key] = counts.get(key, 0) + 1
+        counts = _shot_counts(routed, args.shots, rng)
     else:
+        # Keys name every physical qubit, so the full routed state is sampled.
         state, _ = run_program(routed, rng)
         counts = sample_counts(state, args.shots, rng)
     with _out_stream(args) as out:
@@ -195,13 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    program = parse(_read(args.circuit))
-    routed, report = route(program, _load_map(args.map))
-    print(
-        f"# direct={report.direct_count} reversed={report.reversed_count} "
-        f"swaps={report.swap_count} inserted={report.inserted_gate_count}",
-        file=sys.stderr,
-    )
+    routed = _route_circuit(args)
     with _out_stream(args) as out:
         out.write(serialize(routed))
     return 0
@@ -279,12 +291,8 @@ def cmd_bench_teleport(args: argparse.Namespace) -> int:
     rows = []
     for label, cmap in layouts:
         routed, report = route(program, cmap)
-        dist = branch_probabilities(routed)
-        counts: dict[str, int] = {}
-        for _ in range(args.shots):
-            _, cbits = run_program(routed, rng)
-            key = _cbit_key(cbits)
-            counts[key] = counts.get(key, 0) + 1
+        dist = branch_probabilities(compact(routed))
+        counts = _shot_counts(routed, args.shots, rng)
         exact[label] = dist
         sampled[label] = normalize_counts(counts)
         # The teleported bit lands in the highest classical bit, leftmost in

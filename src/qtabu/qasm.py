@@ -11,12 +11,14 @@ Supported statements, whitespace-insensitive, with ``//`` line comments:
 Exactly one quantum register (named ``q``) and one classical register
 (named ``c``). Parsing stops at the first error and raises
 :class:`QasmParseError` positioned at the offending token.
+
+:func:`compact` rewrites a program onto only the qubits it touches.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .statevector import Gate, GateOp, MeasureOp
 
@@ -221,6 +223,35 @@ class _Parser:
 def parse(source: str) -> Program:
     """Parse circuit text; raise QasmParseError at the first problem."""
     return _Parser(source).parse()
+
+
+def _qubits(ins: GateOp | MeasureOp) -> tuple[int, ...]:
+    if isinstance(ins, MeasureOp):
+        return (ins.qubit,)
+    return (ins.target,) if ins.control is None else (ins.control, ins.target)
+
+
+def compact(program: Program) -> Program:
+    """Drop the qubits no instruction touches and renumber the rest 0..k-1.
+
+    The touched qubits keep their relative order, so every amplitude of the
+    compacted state is computed by the same arithmetic as the matching
+    amplitude of the full state; the dropped qubits would only have stayed
+    in |0>. Classical bits and conditions are untouched. A program that
+    touches every qubit comes back unchanged.
+    """
+    used = sorted({qubit for ins in program.instructions for qubit in _qubits(ins)})
+    if len(used) == program.n_qubits:
+        return program
+    new = {qubit: index for index, qubit in enumerate(used)}
+
+    def relabel(ins: GateOp | MeasureOp) -> GateOp | MeasureOp:
+        if isinstance(ins, MeasureOp):
+            return replace(ins, qubit=new[ins.qubit])
+        control = None if ins.control is None else new[ins.control]
+        return replace(ins, target=new[ins.target], control=control)
+
+    return Program(len(used), program.n_cbits, [relabel(ins) for ins in program.instructions])
 
 
 def _require(valid: bool, what: str) -> None:

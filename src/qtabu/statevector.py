@@ -155,16 +155,28 @@ def probabilities(state: StateVector) -> np.ndarray:
 
 def measure(state: StateVector, qubit: int, rng: np.random.Generator) -> tuple[int, StateVector]:
     """Measure one qubit, collapse the state in place, return (outcome, state)."""
+    p_one = _p_one(state, qubit)
+    outcome = 1 if rng.random() < p_one else 0
+    return outcome, _project(state, qubit, outcome)
+
+
+def _p_one(state: StateVector, qubit: int) -> float:
+    """Born probability that measuring ``qubit`` gives 1."""
     _check_qubit(state, qubit, "measured")
     n = state.n_qubits
     view = state.amplitudes.reshape([2] * n)
-    p_one = float(np.sum(np.abs(view[_select(n, {qubit: 1})]) ** 2))
-    outcome = 1 if rng.random() < p_one else 0
+    return float(np.sum(np.abs(view[_select(n, {qubit: 1})]) ** 2))
+
+
+def _project(state: StateVector, qubit: int, outcome: int) -> StateVector:
+    """Collapse ``qubit`` onto ``outcome`` in place and return the state."""
+    n = state.n_qubits
+    view = state.amplitudes.reshape([2] * n)
     view[_select(n, {qubit: 1 - outcome})] = 0.0
     # Renormalize by the actual remaining norm so repeated measurement does
     # not accumulate drift.
     state.amplitudes /= np.linalg.norm(state.amplitudes)
-    return outcome, state
+    return state
 
 
 def bitstring(index: int, n_bits: int) -> str:
@@ -218,15 +230,6 @@ def run_program(
     return state, cbits
 
 
-def _collapse(state: StateVector, qubit: int, outcome: int) -> StateVector:
-    collapsed = state.copy()
-    n = collapsed.n_qubits
-    view = collapsed.amplitudes.reshape([2] * n)
-    view[_select(n, {qubit: 1 - outcome})] = 0.0
-    collapsed.amplitudes /= np.linalg.norm(collapsed.amplitudes)
-    return collapsed
-
-
 def branch_probabilities(program, initial_state: StateVector | None = None) -> dict[str, float]:
     """Exact distribution over classical-register values, bit 0 rightmost.
 
@@ -252,18 +255,14 @@ def branch_probabilities(program, initial_state: StateVector | None = None) -> d
             ins = instructions[pos]
             pos += 1
             if isinstance(ins, MeasureOp):
-                _check_qubit(state, ins.qubit, "measured")
-                n = state.n_qubits
-                view = state.amplitudes.reshape([2] * n)
-                p_one = float(np.sum(np.abs(view[_select(n, {ins.qubit: 1})]) ** 2))
-                p_one = min(max(p_one, 0.0), 1.0)
+                p_one = min(max(_p_one(state, ins.qubit), 0.0), 1.0)
                 for outcome, p_out in ((0, 1.0 - p_one), (1, p_one)):
                     if prob * p_out <= 1e-15:
                         continue
                     branch_bits = list(cbits)
                     branch_bits[ins.cbit] = outcome
                     pending.append(
-                        (pos, _collapse(state, ins.qubit, outcome), branch_bits, prob * p_out)
+                        (pos, _project(state.copy(), ins.qubit, outcome), branch_bits, prob * p_out)
                     )
                 break
             apply_gate(state, ins, cbits)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import time
+from importlib import resources
 
 import pytest
 
@@ -70,6 +72,25 @@ def test_simulate_writes_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert out_path.read_text().startswith("bitstring,count,probability\n")
+
+
+def test_simulate_readme_example_within_budget(capsys):
+    """The README's 4096-shot teleport on the 16-qubit map. Each shot runs
+    the three touched qubits; a return to 2^16 amplitudes per shot takes
+    tens of seconds."""
+    assets = resources.files("qtabu").joinpath("assets")
+    argv = [
+        "simulate", str(assets.joinpath("teleport.qasm")),
+        "--map", str(assets.joinpath("sample_16q_map.txt")), "--shots", "4096", "--seed", "1",
+    ]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert sum(int(count) for _, count, _ in rows) == 4096
+    assert all(key[0] == "0" for key, _, _ in rows)  # teleporting |0> never yields 1
+    assert elapsed < 10.0, f"4096 shots took {elapsed:.1f} s"
 
 
 def test_route_reversal_serialization(tmp_path, capsys):
