@@ -93,6 +93,15 @@ def test_simulate_readme_example_within_budget(capsys):
     assert elapsed < 10.0, f"4096 shots took {elapsed:.1f} s"
 
 
+def test_simulate_measured_circuit_on_a_map_wider_than_the_simulator(tmp_path, capsys):
+    """Shots run on the touched qubits only, so a 25-qubit map is fine."""
+    circuit = write(tmp_path, "bell.qasm", BELL_MEASURED)
+    cmap = write(tmp_path, "map.txt", json.dumps([[q, q + 1] for q in range(24)]))
+    code, out, _ = run_cli(capsys, ["simulate", circuit, "--map", cmap, "--shots", "64", "--seed", "1"])
+    assert code == 0
+    assert {line.split(",")[0] for line in out.strip().splitlines()[1:]} <= {"00", "11"}
+
+
 def test_route_reversal_serialization(tmp_path, capsys):
     circuit = write(tmp_path, "cx.qasm", SINGLE_CX)
     cmap = write(tmp_path, "map.txt", "[[1, 0]]")
