@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 usage (bad flags or unreadable files), 2 parse
 error (circuit, map, or instance text), 3 routing error, 4 internal error.
-The effective seed is always echoed to stderr as ``seed=<n>`` so any run
-can be reproduced; byte-identical inputs and seed give byte-identical
-output.
+Every subcommand that draws random numbers echoes its effective seed to
+stderr as ``seed=<n>`` so any run can be reproduced; ``route`` is
+deterministic and echoes none. Byte-identical inputs and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from functools import cache
+from typing import get_args
 
 import numpy as np
 
@@ -30,33 +32,17 @@ from .statevector import (
     MAX_QUBITS,
     MeasureOp,
     branch_probabilities,
+    cbit_key,
     normalize_counts,
     run_program,
     sample_counts,
     total_variation_distance,
 )
-from .tabu import SearchConfig, parse_instance, qts_run
+from .tabu import PopulationMode, SearchConfig, parse_instance, qts_run
 
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One CSV row of a multi-run search: who ran and what it found."""
-
-    run: int
-    seed: int
-    best_score: float
-    best_iteration: int
-    iterations_run: int
-
-    def csv(self) -> str:
-        return (
-            f"{self.run},{self.seed},{self.best_score!r},"
-            f"{self.best_iteration},{self.iterations_run}"
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,13 +64,25 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one ``qtabu`` parser, built on first use and reused by every call."""
     parser = _Parser(prog="qtabu", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser) -> None:
         p.add_argument("--seed", type=int, default=None, help="RNG seed (echoed to stderr)")
         p.add_argument("--out", default=None, help="write primary output to this file")
+
+    def engine(p: _Parser) -> None:
+        p.add_argument("--max-iter", type=_positive_int, default=SearchConfig.max_iterations)
+        p.add_argument("--stagnation", type=_positive_int, default=SearchConfig.stagnation_limit)
+        p.add_argument("--tenure", type=_positive_int, default=SearchConfig.tabu_tenure)
+        p.add_argument(
+            "--population",
+            choices=get_args(PopulationMode),
+            default=SearchConfig.population_mode,
+        )
 
     p = sub.add_parser("simulate", help="run a circuit and tabulate outcomes")
     p.add_argument("circuit", help="circuit file")
@@ -101,14 +99,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("qts", help="tabu-search a knapsack instance")
     p.add_argument("instance", help="instance file: 'n max_capacity' then n 'profit weight' lines")
-    p.add_argument("--max-iter", type=_positive_int, default=500)
-    p.add_argument("--stagnation", type=_positive_int, default=20)
-    p.add_argument("--tenure", type=_positive_int, default=None)
-    p.add_argument(
-        "--population",
-        choices=("with_replacement", "without_replacement"),
-        default="with_replacement",
-    )
+    engine(p)
     common(p)
     p.set_defaults(func=cmd_qts)
 
@@ -120,14 +111,7 @@ def _build_parser() -> _Parser:
                    help="candidate edge file (JSON pair list); default: all directed pairs")
     p.add_argument("--budget", type=_nonnegative_int, default=6, help="edge budget")
     p.add_argument("--runs", type=_positive_int, default=1)
-    p.add_argument("--max-iter", type=_positive_int, default=500)
-    p.add_argument("--stagnation", type=_positive_int, default=20)
-    p.add_argument("--tenure", type=_positive_int, default=None)
-    p.add_argument(
-        "--population",
-        choices=("with_replacement", "without_replacement"),
-        default="with_replacement",
-    )
+    engine(p)
     common(p)
     p.set_defaults(func=cmd_search_map)
 
@@ -164,10 +148,6 @@ def _out_stream(args: argparse.Namespace):
     return open(args.out, "w")
 
 
-def _cbit_key(cbits: list[int]) -> str:
-    return "".join(str(b) for b in reversed(cbits))
-
-
 def _shot_counts(program: Program, shots: int, rng: np.random.Generator) -> dict[str, int]:
     """Run ``program`` once per shot and count its classical-register values.
 
@@ -178,7 +158,7 @@ def _shot_counts(program: Program, shots: int, rng: np.random.Generator) -> dict
     counts: dict[str, int] = {}
     for _ in range(shots):
         _, cbits = run_program(compacted, rng)
-        key = _cbit_key(cbits)
+        key = cbit_key(cbits)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -193,6 +173,17 @@ def _route_circuit(args: argparse.Namespace) -> Program:
         file=sys.stderr,
     )
     return routed
+
+
+def _search_config(args: argparse.Namespace, seed: int) -> SearchConfig:
+    """The engine settings ``args`` asks for, seeded with ``seed``."""
+    return SearchConfig(
+        max_iterations=args.max_iter,
+        stagnation_limit=args.stagnation,
+        tabu_tenure=args.tenure,
+        population_mode=args.population,
+        seed=seed,
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -222,14 +213,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 def cmd_qts(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     instance = parse_instance(_read(args.instance))
-    config = SearchConfig(
-        max_iterations=args.max_iter,
-        stagnation_limit=args.stagnation,
-        tabu_tenure=args.tenure,
-        population_mode=args.population,
-        seed=seed,
-    )
-    result = qts_run(instance, config)
+    result = qts_run(instance, _search_config(args, seed))
     with _out_stream(args) as out:
         print("iteration,current_eval,best_eval", file=out)
         for iteration, current_eval, best_eval in result.trace:
@@ -256,23 +240,18 @@ def cmd_search_map(args: argparse.Namespace) -> int:
                 f"(limit {MAX_QUBITS}); pass --candidates with an explicit pair list"
             )
     problem = MapSearchProblem(program, candidates, args.budget)
-    config = SearchConfig(
-        max_iterations=args.max_iter,
-        stagnation_limit=args.stagnation,
-        tabu_tenure=args.tenure,
-        population_mode=args.population,
-    )
     best = None
     with _out_stream(args) as out:
         print("run,seed,best_score,best_iteration,iterations_run", file=out)
         for run in range(args.runs):
             run_seed = seed + run
-            scored = search_best_map(problem, replace(config, seed=run_seed))
-            record = RunRecord(
-                run, run_seed, scored.score,
-                scored.search.best_iteration, scored.search.iterations_run,
+            scored = search_best_map(problem, _search_config(args, run_seed))
+            search = scored.search
+            print(
+                f"{run},{run_seed},{scored.score!r},"
+                f"{search.best_iteration},{search.iterations_run}",
+                file=out,
             )
-            print(record.csv(), file=out)
             if best is None or scored.score > best.score:
                 best = scored
     assert best is not None
@@ -317,26 +296,15 @@ def cmd_bench_teleport(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except QasmParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (MapFormatError, ValueError) as exc:
+    except (QasmParseError, MapFormatError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except RoutingError as exc:

@@ -68,10 +68,10 @@ class RoutingReport:
     final_layout: tuple[int, ...]
 
 
-def parse_coupling_map(text: str, n_physical: int | None = None) -> CouplingMap:
+def parse_coupling_map(text: str) -> CouplingMap:
     """Parse a JSON pair list like ``[[0, 1], [1, 2]]`` into a CouplingMap.
 
-    ``n_physical`` defaults to one past the highest endpoint mentioned.
+    The physical qubit count is one past the highest endpoint mentioned.
     """
     try:
         data = json.loads(text)
@@ -90,11 +90,7 @@ def parse_coupling_map(text: str, n_physical: int | None = None) -> CouplingMap:
         if item[0] < 0 or item[1] < 0:
             raise MapFormatError(f"edge {item} has a negative endpoint")
         edges.append((item[0], item[1]))
-    needed = 1 + max((max(a, b) for a, b in edges), default=-1)
-    if n_physical is None:
-        n_physical = needed
-    elif n_physical < needed:
-        raise MapFormatError(f"n_physical {n_physical} too small for edges (need {needed})")
+    n_physical = 1 + max((max(a, b) for a, b in edges), default=-1)
     return CouplingMap(n_physical, tuple(edges))
 
 

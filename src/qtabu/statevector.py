@@ -184,6 +184,11 @@ def bitstring(index: int, n_bits: int) -> str:
     return format(index, f"0{n_bits}b")
 
 
+def cbit_key(cbits: Sequence[int]) -> str:
+    """Render classical-register values with bit 0 rightmost."""
+    return "".join(str(b) for b in reversed(cbits))
+
+
 def sample_counts(state: StateVector, shots: int, rng: np.random.Generator) -> dict[str, int]:
     """Sample the full register ``shots`` times without collapsing the state."""
     if shots < 1:
@@ -198,26 +203,13 @@ def sample_counts(state: StateVector, shots: int, rng: np.random.Generator) -> d
     }
 
 
-def run_program(
-    program,
-    rng: np.random.Generator,
-    initial_state: StateVector | None = None,
-) -> tuple[StateVector, list[int]]:
-    """Execute gates and measurements in order; return final state and bits.
+def run_program(program, rng: np.random.Generator) -> tuple[StateVector, list[int]]:
+    """Execute gates and measurements in order from the all-zeros state.
 
     ``program`` needs ``n_qubits``, ``n_cbits``, and an ``instructions`` list
-    of GateOp/MeasureOp. ``initial_state`` replaces the all-zeros start and
-    must match the program's qubit count.
+    of GateOp/MeasureOp. Returns the final state and the classical bits.
     """
-    if initial_state is None:
-        state = zero_state(program.n_qubits)
-    else:
-        if initial_state.n_qubits != program.n_qubits:
-            raise ValueError(
-                f"initial state has {initial_state.n_qubits} qubits, "
-                f"program declares {program.n_qubits}"
-            )
-        state = initial_state.copy()
+    state = zero_state(program.n_qubits)
     cbits = [0] * program.n_cbits
     for ins in program.instructions:
         if isinstance(ins, MeasureOp):
@@ -267,7 +259,7 @@ def branch_probabilities(program, initial_state: StateVector | None = None) -> d
                 break
             apply_gate(state, ins, cbits)
         else:
-            key = "".join(str(b) for b in reversed(cbits))
+            key = cbit_key(cbits)
             dist[key] = dist.get(key, 0.0) + prob
     return dist
 

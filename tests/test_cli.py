@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import time
 from importlib import resources
@@ -286,6 +287,24 @@ def test_exit_code_missing_subcommand(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(tmp_path, capsys):
+    # Garbage that only a full collection frees piles up across the calls of
+    # a long-lived caller; an argparse parser built per call leaves about 300
+    # such objects each time.
+    argv = ["route", write(tmp_path, "cx.qasm", SINGLE_CX)]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            main(argv)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert garbage == 0
 
 
 @pytest.mark.parametrize("flag", ["--seed"])

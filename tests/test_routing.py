@@ -48,12 +48,6 @@ def test_parse_coupling_map_rejects_malformed():
         parse_coupling_map("[[true,false]]")
 
 
-def test_parse_coupling_map_n_physical_override():
-    assert parse_coupling_map("[[0,1]]", n_physical=4).n_physical == 4
-    with pytest.raises(MapFormatError, match="too small"):
-        parse_coupling_map("[[0,3]]", n_physical=2)
-
-
 def test_coupling_map_invariants():
     with pytest.raises(MapFormatError, match="out of range"):
         CouplingMap(2, ((0, 3),))

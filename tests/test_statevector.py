@@ -255,12 +255,6 @@ def test_run_program_executes_conditions():
     assert seen == {(0, 0), (1, 1)}
 
 
-def test_run_program_initial_state_mismatch():
-    program = Program(2, 0, [])
-    with pytest.raises(ValueError, match="3 qubits"):
-        run_program(program, np.random.default_rng(0), initial_state=zero_state(3))
-
-
 def test_branch_probabilities_single_h():
     program = Program(1, 1, [GateOp(Gate.H, 0), MeasureOp(0, 0)])
     dist = branch_probabilities(program)
