@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from typing import Literal, Sequence, get_args
 
@@ -67,10 +67,13 @@ class KnapsackInstance:
                 raise ValueError(f"weights[{k}] must be >= 0, got {value!r}")
         if not math.isfinite(self.max_capacity):
             raise ValueError(f"max_capacity must be finite, got {self.max_capacity!r}")
-        arrays = tuple(np.array(values, dtype=float) for values in (self.profits, self.weights))
+        # The engine scores flips in Python floats and takes a selection's
+        # sums from read-only arrays, both built once here.
+        for name in ("profits", "weights"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        arrays = tuple(np.array(values) for values in (self.profits, self.weights))
         for array in arrays:
             array.flags.writeable = False
-        # Built once: the engine reads them twice per iteration.
         object.__setattr__(self, "_arrays", arrays)
 
     @property
@@ -106,15 +109,32 @@ def parse_instance(text: str) -> KnapsackInstance:
     return KnapsackInstance(tuple(profits), tuple(weights), max_capacity)
 
 
-def fitness(instance: KnapsackInstance, bits: Sequence[int]) -> float:
-    """Evaluate one selection; overweight selections are penalized, not clamped."""
-    if len(bits) != instance.n_items:
-        raise ValueError(f"expected {instance.n_items} bits, got {len(bits)}")
+def _sums(instance: KnapsackInstance, bits: Sequence[int]) -> tuple[float, float]:
+    """Total profit and load of one selection.
+
+    These stay numpy dot products: past ten items their summation order
+    differs from a left-to-right Python sum in the last bit.
+    """
     profits, weights = instance.arrays()
     chosen = np.asarray(bits, dtype=float)
-    profit = float(profits @ chosen)
-    load = float(weights @ chosen)
-    return profit * (1.0 - max(0.0, load - instance.max_capacity))
+    return float(profits @ chosen), float(weights @ chosen)
+
+
+def _value(profit: float, load: float, max_capacity: float) -> float:
+    """Profit times the soft capacity penalty of the module docstring."""
+    excess = load - max_capacity
+    return profit * (1.0 - excess if excess > 0.0 else 1.0)
+
+
+def fitness(instance: KnapsackInstance, bits: Sequence[int]) -> float:
+    """Evaluate one selection; overweight selections are penalized, not clamped.
+
+    The search scores each selection from the same two sums, so this is
+    bit for bit the value a run reports.
+    """
+    if len(bits) != instance.n_items:
+        raise ValueError(f"expected {instance.n_items} bits, got {len(bits)}")
+    return _value(*_sums(instance, bits), instance.max_capacity)
 
 
 @dataclass(frozen=True)
@@ -206,8 +226,19 @@ def _as_population(population: Population | StateVector) -> Population:
     return population if isinstance(population, Population) else Population([population])
 
 
+@dataclass(kw_only=True)
+class EngineCounters:
+    """What a run's moves and escapes did, counted as they happen."""
+
+    escapes_cx: int = 0  # escapes that entangled qubits 0 and 1 with cx
+    escapes_h: int = 0  # escapes that spread one qubit with h
+    tabu_blocked: int = 0  # tabu neighbours skipped for not beating the best
+    aspiration_accepts: int = 0  # tabu moves taken because they beat the best
+    all_tabu_fallbacks: int = 0  # selections that took the oldest tabu move
+
+
 @dataclass
-class SearchState:
+class SearchState(EngineCounters):
     """Mutable state threaded through one search run."""
 
     population: Population | StateVector
@@ -221,7 +252,7 @@ class SearchState:
 
 
 @dataclass
-class SearchResult:
+class SearchResult(EngineCounters):
     best_solution: CandidateSolution
     best_evaluation: float
     best_iteration: int
@@ -262,40 +293,46 @@ def sample_candidate(
     return _as_population(population).sample(rng.random())
 
 
-def _flip_scores(instance: KnapsackInstance, bits: Sequence[int]) -> np.ndarray:
-    """Fitness of every single-flip neighbor, computed in one vector pass."""
-    profits, weights = instance.arrays()
-    chosen = np.asarray(bits, dtype=float)
-    sign = 1.0 - 2.0 * chosen
-    flip_profit = float(profits @ chosen) + profits * sign
-    flip_load = float(weights @ chosen) + weights * sign
-    return flip_profit * (1.0 - np.maximum(0.0, flip_load - instance.max_capacity))
-
-
 def select_move(
-    state: SearchState, instance: KnapsackInstance
+    state: SearchState,
+    instance: KnapsackInstance,
+    sums: tuple[float, float] | None = None,
 ) -> tuple[CandidateSolution, int]:
     """Pick the next selection from the flip neighborhood of ``state.current``.
 
     Tabu moves are skipped unless they beat ``best_evaluation`` (aspiration).
     The best admissible score wins, ties to the lowest item index. If every
     move is tabu and none aspirates, the oldest tabu move is taken. Expired
-    tabu entries are purged first.
+    tabu entries are purged first. ``sums`` are ``_sums`` of
+    ``state.current``, passed by a caller that already has them.
     """
     while state.tabu_list and state.tabu_list[0][1] < state.iteration:
         state.tabu_list.popleft()
-    # A plain loop over Python floats: at ten items it beats a numpy mask
-    # and argmax, whose per-call overhead dominates arrays this small.
-    scores = _flip_scores(instance, state.current).tolist()
+    profit, load = _sums(instance, state.current) if sums is None else sums
+    capacity = instance.max_capacity
     tabu_items = {item for item, _ in state.tabu_list}
     best_k = -1
-    for k, score in enumerate(scores):
+    best_score = 0.0
+    # Each flip is scored from the current sums in plain Python floats: at
+    # these sizes numpy's per-call overhead would dominate. Taking an item
+    # out or putting it in is the same IEEE operation as numpy's
+    # ``sum + value * sign`` with ``sign = -1.0`` or ``1.0``, so the
+    # scores are bit for bit the vectorised ones.
+    for k, (bit, p, w) in enumerate(zip(state.current, instance.profits, instance.weights)):
+        if bit:
+            score = _value(profit - p, load - w, capacity)
+        else:
+            score = _value(profit + p, load + w, capacity)
         if k in tabu_items and score <= state.best_evaluation:
+            state.tabu_blocked += 1
             continue
-        if best_k == -1 or score > scores[best_k]:
-            best_k = k
+        if best_k == -1 or score > best_score:
+            best_k, best_score = k, score
     if best_k == -1:
+        state.all_tabu_fallbacks += 1
         best_k = state.tabu_list[0][0]
+    elif best_k in tabu_items:
+        state.aspiration_accepts += 1
     flipped = list(state.current)
     flipped[best_k] ^= 1
     return tuple(flipped), best_k
@@ -313,8 +350,10 @@ def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
     bits = state.best_solution
     if len(bits) >= 2 and bits[0] != bits[1]:
         op = GateOp(Gate.CX, 1, control=0)
+        state.escapes_cx += 1
     else:
         op = GateOp(Gate.H, 1 if len(bits) >= 2 else 0)
+        state.escapes_h += 1
     _as_population(state.population).apply(op)
     state.current = sample_candidate(state.population, rng)
     state.best_iteration = state.iteration
@@ -346,11 +385,14 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     rng = np.random.default_rng(config.seed)
     population = init_population(n, config.population_mode)
     current = sample_candidate(population, rng)
+    # The sums of the current selection are taken once: they give its trace
+    # value and score the next iteration's moves.
+    sums = _sums(instance, current)
     state = SearchState(
         population=population,
         current=current,
         best_solution=current,
-        best_evaluation=fitness(instance, current),
+        best_evaluation=_value(*sums, instance.max_capacity),
         best_iteration=0,
         iteration=0,
         tabu_list=deque(maxlen=tenure),
@@ -360,10 +402,12 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         state.iteration = iteration
         if iteration - state.best_iteration > config.stagnation_limit:
             escape(state, rng)
-        chosen, flipped = select_move(state, instance)
+            sums = _sums(instance, state.current)
+        chosen, flipped = select_move(state, instance, sums)
         state.current = chosen
         state.tabu_list.append((flipped, iteration + tenure))
-        current_eval = fitness(instance, chosen)
+        sums = _sums(instance, chosen)
+        current_eval = _value(*sums, instance.max_capacity)
         if current_eval > state.best_evaluation:
             state.best_solution = chosen
             state.best_evaluation = current_eval
@@ -375,4 +419,5 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         best_iteration=state.best_iteration,
         iterations_run=config.max_iterations,
         trace=state.trace,
+        **{counter.name: getattr(state, counter.name) for counter in fields(EngineCounters)},
     )

@@ -96,6 +96,51 @@ def brute_force_knapsack_max(
     return float(values.max())
 
 
+def flip_scores(
+    profits: tuple[float, ...], weights: tuple[float, ...], capacity: float, bits: tuple[int, ...]
+) -> np.ndarray:
+    """Fitness of every single-flip neighbour, vectorised over numpy arrays.
+
+    Each flip adds ``value * sign`` to the selection's dot-product sums, with
+    ``sign`` -1.0 for a set bit and 1.0 for a clear one.
+    """
+    profit_array = np.array(profits, dtype=float)
+    weight_array = np.array(weights, dtype=float)
+    chosen = np.asarray(bits, dtype=float)
+    sign = 1.0 - 2.0 * chosen
+    flip_profit = float(profit_array @ chosen) + profit_array * sign
+    flip_load = float(weight_array @ chosen) + weight_array * sign
+    return flip_profit * (1.0 - np.maximum(0.0, flip_load - capacity))
+
+
+def select_move(
+    profits: tuple[float, ...],
+    weights: tuple[float, ...],
+    capacity: float,
+    bits: tuple[int, ...],
+    tabu_list: list[tuple[int, int]],
+    iteration: int,
+    best_evaluation: float,
+) -> tuple[tuple[int, ...], int]:
+    """The tabu move rule over ``flip_scores``.
+
+    Entries of ``tabu_list`` (item, last tabu iteration) that expired before
+    ``iteration`` are ignored. A tabu flip is admissible only when it beats
+    ``best_evaluation``; the best admissible score wins, ties to the lowest
+    item; with none admissible the oldest live tabu entry's item is flipped.
+    """
+    scores = flip_scores(profits, weights, capacity, bits)
+    live = [item for item, last in tabu_list if last >= iteration]
+    admissible = [k for k in range(len(bits)) if k not in live or scores[k] > best_evaluation]
+    if admissible:
+        flipped = max(admissible, key=lambda k: (scores[k], -k))
+    else:
+        flipped = live[0]
+    chosen = list(bits)
+    chosen[flipped] ^= 1
+    return tuple(chosen), flipped
+
+
 def random_gate_program(
     rng: np.random.Generator, n_qubits: int, max_gates: int = 15
 ) -> Program:
