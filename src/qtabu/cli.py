@@ -1,7 +1,8 @@
 """Command-line harness: simulate, route, search, and benchmark circuits.
 
 Exit codes: 0 success, 1 usage (bad flags or unreadable files), 2 parse
-error (circuit, map, or instance text), 3 routing error, 4 internal error.
+error (circuit, map, or instance text) or a circuit too wide to simulate,
+3 routing error, 4 internal error.
 Every subcommand that draws random numbers echoes its effective seed to
 stderr as ``seed=<n>`` so any run can be reproduced; ``route`` is
 deterministic and echoes none. Byte-identical inputs and seed give
@@ -42,6 +43,10 @@ from .tabu import PopulationMode, SearchConfig, parse_instance, qts_run
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _TooWideError(Exception):
     pass
 
 
@@ -194,6 +199,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         counts = _shot_counts(routed, args.shots, rng)
     else:
         # Keys name every physical qubit, so the full routed state is sampled.
+        if routed.n_qubits > MAX_QUBITS:
+            raise _TooWideError(
+                f"the routed circuit spans {routed.n_qubits} physical qubits; without "
+                f"measurements every physical qubit is sampled, and the simulator "
+                f"holds at most {MAX_QUBITS}"
+            )
         state, _ = run_program(routed, rng)
         counts = sample_counts(state, args.shots, rng)
     with _out_stream(args) as out:
@@ -306,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (QasmParseError, MapFormatError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except _TooWideError as exc:
+        print(f"simulate error: {exc}", file=sys.stderr)
         return 2
     except RoutingError as exc:
         print(f"routing error: {exc}", file=sys.stderr)

@@ -103,6 +103,19 @@ def test_simulate_measured_circuit_on_a_map_wider_than_the_simulator(tmp_path, c
     assert {line.split(",")[0] for line in out.strip().splitlines()[1:]} <= {"00", "11"}
 
 
+def test_simulate_unmeasured_circuit_too_wide_names_the_width(tmp_path, capsys):
+    circuit = write(tmp_path, "bell.qasm", "qreg q[2];\ncreg c[0];\nh q[0];\ncx q[0],q[1];\n")
+    cmap = write(tmp_path, "map.txt", json.dumps([[q, q + 1] for q in range(24)]))
+    code, out, err = run_cli(capsys, ["simulate", circuit, "--map", cmap, "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert "parse error" not in err
+    assert (
+        "simulate error: the routed circuit spans 25 physical qubits; without measurements "
+        "every physical qubit is sampled, and the simulator holds at most 20"
+    ) in err
+
+
 def test_route_reversal_serialization(tmp_path, capsys):
     circuit = write(tmp_path, "cx.qasm", SINGLE_CX)
     cmap = write(tmp_path, "map.txt", "[[1, 0]]")
