@@ -110,10 +110,11 @@ def parse_instance(text: str) -> KnapsackInstance:
 
 
 def _sums(instance: KnapsackInstance, bits: Sequence[int]) -> tuple[float, float]:
-    """Total profit and load of one selection.
+    """Total profit and load of one selection, the only place they are summed.
 
-    These stay numpy dot products: past ten items their summation order
-    differs from a left-to-right Python sum in the last bit.
+    They stay numpy dot products on purpose: on fractional data past ten
+    items a left-to-right Python sum often differs from the dot in the last
+    bit, which would change seeded results.
     """
     profits, weights = instance.arrays()
     chosen = np.asarray(bits, dtype=float)
@@ -315,9 +316,9 @@ def select_move(
     best_score = 0.0
     # Each flip is scored from the current sums in plain Python floats: at
     # these sizes numpy's per-call overhead would dominate. Taking an item
-    # out or putting it in is the same IEEE operation as numpy's
-    # ``sum + value * sign`` with ``sign = -1.0`` or ``1.0``, so the
-    # scores are bit for bit the vectorised ones.
+    # out or putting it in is the same IEEE operation as adding
+    # ``value * sign`` to the sums with ``sign = -1.0`` or ``1.0``, so the
+    # scores equal a vectorised numpy formula bit for bit.
     for k, (bit, p, w) in enumerate(zip(state.current, instance.profits, instance.weights)):
         if bit:
             score = _value(profit - p, load - w, capacity)

@@ -40,6 +40,7 @@ def test_select_move_matches_vectorised_oracle(data):
     n = instance.n_items
     args = (instance.profits, instance.weights, instance.max_capacity)
     current = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    scores = oracles.flip_scores(*args, current)
     items = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
     # Entries are appended as iterations pass, so their last tabu
     # iterations never decrease; some have already expired.
@@ -52,7 +53,7 @@ def test_select_move_matches_vectorised_oracle(data):
     if pinned is None:
         best_evaluation = data.draw(st.floats(-1000.0, 600.0))
     else:
-        best_evaluation = float(oracles.flip_scores(*args, current)[pinned])
+        best_evaluation = float(scores[pinned])
     state = SearchState(
         population=init_population(n),
         current=current,
@@ -66,7 +67,6 @@ def test_select_move_matches_vectorised_oracle(data):
     move = tabu.select_move(state, instance)
 
     assert move == oracles.select_move(*args, current, tabu_list, ITERATION, best_evaluation)
-    scores = oracles.flip_scores(*args, current)
     live = {item for item, last in tabu_list if last >= ITERATION}
     blocked = sum(1 for k in live if scores[k] <= best_evaluation)
     assert state.tabu_blocked == blocked
