@@ -6,10 +6,11 @@ under a tabu list with an aspiration rule, and when the search stagnates
 the population itself is perturbed with a gate (an entangling cx or an h)
 before resampling.
 
-Only those gates ever reach the population, so it is always a product of
-small blocks (the Q-bit individual of quantum-inspired evolutionary
-algorithms). ``Population`` stores it that way, as dense one- and two-qubit
-blocks, instead of as one array of ``2**n_items`` amplitudes.
+Those gates only ever act on qubits 0 and 1, so every other qubit keeps its
+prepared ``|+>`` or Bell-pair half for the whole run (the Q-bit individual
+of quantum-inspired evolutionary algorithms). ``Population`` stores a dense
+two-qubit head for the escapes and a fixed tail of those blocks, instead of
+one array of ``2**n_items`` amplitudes.
 
 Fitness is profit times a soft capacity penalty:
 
@@ -23,8 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate
+from dataclasses import dataclass, field, fields
 from typing import Literal, Sequence, get_args
 
 import numpy as np
@@ -36,11 +36,8 @@ CandidateSolution = tuple[int, ...]  # one 0/1 selection bit per item
 
 _MODES = get_args(PopulationMode)
 _SQRT2_INV = 2.0 ** -0.5  # the amplitude h puts on each basis state
-_PLUS = (_SQRT2_INV, _SQRT2_INV)
-_BELL = (_SQRT2_INV, 0.0, 0.0, _SQRT2_INV)
-# Rescaled draws stay below 1, so every block lookup lands on an entry of
-# positive weight.
-_BELOW_ONE = math.nextafter(1.0, 0.0)
+_PLUS = np.array([_SQRT2_INV] * 2, dtype=complex)
+_BELL = np.array([_SQRT2_INV, 0.0, 0.0, _SQRT2_INV], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -150,81 +147,65 @@ class SearchConfig:
 
 
 class Population:
-    """A product state stored as dense blocks over contiguous qubit ranges.
+    """A dense ``head`` state over the lowest qubits and a fixed ``tail``.
 
-    ``blocks`` are ordered from the lowest qubits up; qubit ``starts[j] + b``
-    is bit ``b`` of block ``j``'s basis index, so the full state is
-    ``kron(blocks[-1], ..., blocks[0])``. A gate acts on the block that owns
-    its qubits; a gate spanning blocks first merges them, together with the
-    blocks between, into one, so any gate sequence stays exact.
+    ``tail`` lists block widths from the first qubit after the head up: 1
+    for a ``|+>``, 2 for a Bell pair, whose two qubits always agree. The
+    full state is ``kron(tail blocks from the highest down, head)``. Gates
+    act on the head only; a dense ``StateVector`` is a head with no tail.
     """
 
-    def __init__(self, blocks: list[StateVector]) -> None:
-        self.blocks = blocks
-        self.starts = [0, *accumulate(block.n_qubits for block in blocks[:-1])]
-        self.n_qubits = sum(block.n_qubits for block in blocks)
-        # Each block's normalized CDF, built on first use and dropped when a
-        # gate changes the block.
-        self._cdfs: list[list[float] | None] = [None] * len(blocks)
+    def __init__(self, head: StateVector, tail: tuple[int, ...] = ()) -> None:
+        self.head = head
+        self.tail = tail
+        self.n_qubits = head.n_qubits + sum(tail)
+        # The head's normalized CDF, built on first use and dropped by apply.
+        self._cdf: list[float] | None = None
 
     @property
     def amplitudes(self) -> np.ndarray:
         """The dense ``2**n_qubits`` amplitudes, as a new array."""
-        return _kron(self.blocks).copy()
+        amplitudes = self.head.amplitudes.copy()
+        for width in self.tail:
+            amplitudes = np.kron(_BELL if width == 2 else _PLUS, amplitudes)
+        return amplitudes
 
     def apply(self, op: GateOp) -> None:
-        """Apply one unconditioned gate in place."""
-        qubits = (op.target,) if op.control is None else (op.target, op.control)
-        for qubit in qubits:
-            if not 0 <= qubit < self.n_qubits:
-                raise IndexError(f"qubit {qubit} out of range for {self.n_qubits} qubits")
-        first = bisect_right(self.starts, min(qubits)) - 1
-        last = bisect_right(self.starts, max(qubits)) - 1
-        if last > first:
-            merged = self.blocks[first : last + 1]
-            self.blocks[first : last + 1] = [
-                StateVector(sum(block.n_qubits for block in merged), _kron(merged))
-            ]
-            del self.starts[first + 1 : last + 1]
-            del self._cdfs[first + 1 : last + 1]
-        offset = self.starts[first]
-        local_control = None if op.control is None else op.control - offset
-        apply_gate(self.blocks[first], replace(op, target=op.target - offset, control=local_control))
-        self._cdfs[first] = None
+        """Apply one unconditioned gate to the head in place."""
+        for qubit in (op.target, op.control):
+            if qubit is not None and not 0 <= qubit < self.head.n_qubits:
+                raise IndexError(
+                    f"qubit {qubit} out of range for the {self.head.n_qubits}-qubit head"
+                    f" of a {self.n_qubits}-qubit population"
+                )
+        apply_gate(self.head, op)
+        self._cdf = None
 
     def sample(self, u: float) -> CandidateSolution:
         """The basis state at ``u`` in [0, 1) of the dense inverse CDF.
 
-        Walks the blocks from the highest qubits down: ``u`` picks an entry of
-        the block's CDF (the first entry above ``u``, as
-        ``searchsorted(side="right")`` does), and its position inside that
-        entry, rescaled to [0, 1), goes on to the next block. This is the
-        index the dense ``2**n`` CDF gives for ``u``.
+        Each tail block, from the highest down, splits its probability
+        evenly between two outcomes, so it takes the next binary digit of
+        ``u`` for all its qubits; what is left of ``u`` picks the head's
+        entry (the first CDF entry above it, as ``searchsorted(side="right")``
+        does). Doubling and subtracting 1 are exact here, so this is the index
+        the dense ``2**n`` CDF gives for ``u``.
         """
-        index = 0
-        for j in range(len(self.blocks) - 1, -1, -1):
-            cdf = self._cdfs[j]
-            if cdf is None:
-                cdf = np.cumsum(probabilities(self.blocks[j]))
-                cdf /= cdf[-1]
-                cdf = self._cdfs[j] = cdf.tolist()
-            k = bisect_right(cdf, u)
-            low = cdf[k - 1] if k else 0.0
-            u = min((u - low) / (cdf[k] - low), _BELOW_ONE)
-            index = (index << self.blocks[j].n_qubits) | k
-        return tuple((index >> q) & 1 for q in range(self.n_qubits))
-
-
-def _kron(blocks: list[StateVector]) -> np.ndarray:
-    amplitudes = blocks[0].amplitudes
-    for block in blocks[1:]:
-        amplitudes = np.kron(block.amplitudes, amplitudes)
-    return amplitudes
+        tail_bits: list[int] = []
+        for width in reversed(self.tail):
+            coin = u >= 0.5
+            u = u + u - coin
+            tail_bits.extend((int(coin),) * width)
+        if self._cdf is None:
+            cdf = np.cumsum(probabilities(self.head))
+            self._cdf = (cdf / cdf[-1]).tolist()
+        index = bisect_right(self._cdf, u)
+        return (*((index >> q) & 1 for q in range(self.head.n_qubits)), *reversed(tail_bits))
 
 
 def _as_population(population: Population | StateVector) -> Population:
-    """A dense state acts as a one-block population sharing its amplitudes."""
-    return population if isinstance(population, Population) else Population([population])
+    """A dense state acts as a population with no tail, sharing its amplitudes."""
+    return population if isinstance(population, Population) else Population(population)
 
 
 @dataclass(kw_only=True)
@@ -267,20 +248,20 @@ def init_population(n_items: int, mode: PopulationMode = "with_replacement") -> 
     ``with_replacement`` puts every qubit in ``|+>`` (uniform over all
     selections). ``without_replacement`` entangles item pairs (2k, 2k+1)
     into Bell states so paired items are sampled together, with a lone
-    trailing item left in ``|+>``. Each ``|+>`` or Bell block is built
-    directly; no ``2**n_items`` array is made.
+    trailing item left in ``|+>``. Only the head over qubits 0 and 1 is
+    stored as amplitudes; no ``2**n_items`` array is made.
     """
     if not 1 <= n_items <= MAX_QUBITS:
         raise ValueError(f"n_items must be in 1..{MAX_QUBITS}, got {n_items}")
     if mode not in _MODES:
         raise ValueError(f"unknown population mode {mode!r}")
-    if mode == "with_replacement":
-        blocks = [_PLUS] * n_items
+    if n_items == 1:
+        head, tail = _PLUS, ()
+    elif mode == "with_replacement":
+        head, tail = np.kron(_PLUS, _PLUS), (1,) * (n_items - 2)
     else:
-        blocks = [_BELL] * (n_items // 2) + [_PLUS] * (n_items % 2)
-    return Population(
-        [StateVector(len(amps).bit_length() - 1, np.array(amps, dtype=complex)) for amps in blocks]
-    )
+        head, tail = _BELL, (2,) * (n_items // 2 - 1) + (1,) * (n_items % 2)
+    return Population(StateVector(min(n_items, 2), head.copy()), tail)
 
 
 def sample_candidate(
@@ -370,8 +351,6 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     if config is None:
         config = SearchConfig()
     n = instance.n_items
-    if n > MAX_QUBITS:
-        raise ValueError(f"instance has {n} items, population supports at most {MAX_QUBITS}")
     if config.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if config.stagnation_limit < 1:

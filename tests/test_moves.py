@@ -169,3 +169,47 @@ def test_escape_counts_split_by_gate():
         totals["cx"] += result.escapes_cx
         totals["h"] += result.escapes_h
     assert totals["cx"] > 0 and totals["h"] > 0
+
+
+def test_tenure_holds_over_whole_runs():
+    """An item flipped at iteration i stays tabu through i + tenure, so
+    flipping it again that soon must be an aspiration accept (a score above
+    the best so far) or an all-tabu fallback."""
+    rng = np.random.default_rng(21)
+    select_move = tabu.select_move
+    reflips = 0
+    for n in range(4, 13):
+        profits, weights = rng.uniform(0.5, 30.0, size=n), rng.uniform(0.1, 15.0, size=n)
+        instance = KnapsackInstance(tuple(profits), tuple(weights), float(0.4 * weights.sum()))
+        args = (instance.profits, instance.weights, instance.max_capacity)
+        for mode in MODES:
+            for seed, tenure in enumerate((None, 1, 3)):
+                config = SearchConfig(
+                    max_iterations=150,
+                    stagnation_limit=8,
+                    tabu_tenure=tenure,
+                    population_mode=mode,
+                    seed=seed,
+                )
+                moves = []
+
+                def record_move(state, *rest):
+                    score = oracles.flip_scores(*args, state.current)
+                    best = state.best_evaluation
+                    before = (state.aspiration_accepts, state.all_tabu_fallbacks)
+                    move = select_move(state, *rest)
+                    after = (state.aspiration_accepts, state.all_tabu_fallbacks)
+                    moves.append((state.iteration, move[1], score[move[1]] > best, before, after))
+                    return move
+
+                with mock.patch.object(tabu, "select_move", record_move):
+                    tabu.qts_run(instance, config)
+                expiry = tenure if tenure is not None else max(2, n // 4)
+                last_flip: dict[int, int] = {}
+                for iteration, item, beats_best, (aspired, fell_back), after in moves:
+                    if item in last_flip and iteration <= last_flip[item] + expiry:
+                        reflips += 1
+                        aspiration = beats_best and after == (aspired + 1, fell_back)
+                        assert aspiration or after == (aspired, fell_back + 1), (n, mode, iteration)
+                    last_flip[item] = iteration
+    assert reflips > 0
