@@ -188,8 +188,8 @@ class Population:
         evenly between two outcomes, so it takes the next binary digit of
         ``u`` for all its qubits; what is left of ``u`` picks the head's
         entry (the first CDF entry above it, as ``searchsorted(side="right")``
-        does). Doubling and subtracting 1 are exact here, so this is the index
-        the dense ``2**n`` CDF gives for ``u``.
+        does). Doubling and subtracting 1 are exact here, so the tail adds no
+        rounding to the dense ``2**n`` inverse CDF.
         """
         tail_bits: list[int] = []
         for width in reversed(self.tail):

@@ -41,7 +41,7 @@ def dense_inverse_cdf(state: StateVector, u: float) -> tuple[int, ...]:
     return dense_inverse_cdfs(state, [u])[0]
 
 
-def dense_inverse_cdfs(state: StateVector, us) -> list[tuple[int, ...]]:
+def dense_inverse_cdfs(state: StateVector, us: list[float]) -> list[tuple[int, ...]]:
     probs = np.abs(state.amplitudes) ** 2
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
