@@ -1,8 +1,8 @@
 """Command-line harness: simulate, route, search, and benchmark circuits.
 
 Exit codes: 0 success, 1 usage (bad flags or unreadable files), 2 parse
-error (circuit, map, or instance text) or a circuit too wide to simulate,
-3 routing error, 4 internal error.
+error (circuit, map, or instance text), engine settings the search rejects,
+or a circuit too wide to simulate, 3 routing error, 4 internal error.
 Every subcommand that draws random numbers echoes its effective seed to
 stderr as ``seed=<n>`` so any run can be reproduced; ``route`` is
 deterministic and echoes none. Byte-identical inputs and seed give
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from functools import cache
 from typing import get_args
 
@@ -33,10 +33,10 @@ from .statevector import (
     MAX_QUBITS,
     MeasureOp,
     branch_probabilities,
-    cbit_key,
     normalize_counts,
     run_program,
     sample_counts,
+    shot_counts,
     total_variation_distance,
 )
 from .tabu import PopulationMode, SearchConfig, parse_instance, qts_run
@@ -47,6 +47,10 @@ class _UsageError(Exception):
 
 
 class _TooWideError(Exception):
+    pass
+
+
+class _EngineError(Exception):
     pass
 
 
@@ -153,21 +157,6 @@ def _out_stream(args: argparse.Namespace):
     return open(args.out, "w")
 
 
-def _shot_counts(program: Program, shots: int, rng: np.random.Generator) -> dict[str, int]:
-    """Run ``program`` once per shot and count its classical-register values.
-
-    The shots run the compacted program: qubits no instruction touches
-    would stay in |0> and change no outcome.
-    """
-    compacted = compact(program)
-    counts: dict[str, int] = {}
-    for _ in range(shots):
-        _, cbits = run_program(compacted, rng)
-        key = cbit_key(cbits)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def _route_circuit(args: argparse.Namespace) -> Program:
     """Parse and route ``args.circuit``; print the routing summary to stderr."""
     program = parse(_read(args.circuit))
@@ -191,12 +180,26 @@ def _search_config(args: argparse.Namespace, seed: int) -> SearchConfig:
     )
 
 
+@contextmanager
+def _engine_errors():
+    """Report a ``ValueError`` from the search engine as an engine error.
+
+    Instance and map text is parsed before the engine runs, so a
+    ``ValueError`` here rejects settings or a problem size, not text.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise _EngineError(str(exc)) from exc
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     routed = _route_circuit(args)
     rng = np.random.default_rng(seed)
     if any(isinstance(ins, MeasureOp) for ins in routed.instructions):
-        counts = _shot_counts(routed, args.shots, rng)
+        # Qubits no instruction touches stay in |0> and change no outcome.
+        counts = shot_counts(compact(routed), args.shots, rng)
     else:
         # Keys name every physical qubit, so the full routed state is sampled.
         if routed.n_qubits > MAX_QUBITS:
@@ -224,7 +227,8 @@ def cmd_route(args: argparse.Namespace) -> int:
 def cmd_qts(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     instance = parse_instance(_read(args.instance))
-    result = qts_run(instance, _search_config(args, seed))
+    with _engine_errors():
+        result = qts_run(instance, _search_config(args, seed))
     with _out_stream(args) as out:
         print("iteration,current_eval,best_eval", file=out)
         for iteration, current_eval, best_eval in result.trace:
@@ -256,7 +260,8 @@ def cmd_search_map(args: argparse.Namespace) -> int:
         print("run,seed,best_score,best_iteration,iterations_run", file=out)
         for run in range(args.runs):
             run_seed = seed + run
-            scored = search_best_map(problem, _search_config(args, run_seed))
+            with _engine_errors():
+                scored = search_best_map(problem, _search_config(args, run_seed))
             search = scored.search
             print(
                 f"{run},{run_seed},{scored.score!r},"
@@ -281,8 +286,9 @@ def cmd_bench_teleport(args: argparse.Namespace) -> int:
     rows = []
     for label, cmap in layouts:
         routed, report = route(program, cmap)
-        dist = branch_probabilities(compact(routed))
-        counts = _shot_counts(routed, args.shots, rng)
+        compacted = compact(routed)
+        dist = branch_probabilities(compacted)
+        counts = shot_counts(compacted, args.shots, rng)
         exact[label] = dist
         sampled[label] = normalize_counts(counts)
         # The teleported bit lands in the highest classical bit, leftmost in
@@ -317,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (QasmParseError, MapFormatError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except _EngineError as exc:
+        print(f"engine error: {exc}", file=sys.stderr)
         return 2
     except _TooWideError as exc:
         print(f"simulate error: {exc}", file=sys.stderr)

@@ -18,6 +18,9 @@ import numpy as np
 
 MAX_QUBITS = 20
 NORM_TOL = 1e-12
+# Most uniforms ``shot_counts`` draws at once (512 KiB), so its memory stays
+# flat in the shot count; a block holds at most this many shots.
+SHOT_BLOCK = 2**16
 
 _SQRT2_INV = 2.0 ** -0.5
 
@@ -220,6 +223,65 @@ def run_program(program, rng: np.random.Generator) -> tuple[StateVector, list[in
         else:
             apply_gate(state, ins, cbits)
     return state, cbits
+
+
+def shot_counts(program, shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """Run ``program`` ``shots`` times and count its classical-register values.
+
+    Gives the counts, and leaves ``rng`` in the state, of ``shots`` calls to
+    ``run_program``, but simulates each distinct measurement-outcome prefix
+    once. Every shot takes one uniform per measurement, so drawing a
+    ``(shots, measurements)`` array row by row hands each shot the uniforms
+    ``run_program`` would draw for it; at each measurement the shots of a
+    branch split on ``measure``'s own comparison with ``_p_one``. Shots are
+    drawn and walked in blocks of at most ``SHOT_BLOCK`` uniforms (whole
+    rows, at least one), which continue the same row-major stream.
+    """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    n_measures = sum(isinstance(ins, MeasureOp) for ins in program.instructions)
+    block = max(1, SHOT_BLOCK // max(1, n_measures))
+    counts: dict[str, int] = {}
+    for start in range(0, shots, block):
+        draws = rng.random((min(block, shots - start), n_measures))
+        _walk_shots(program, draws, counts)
+    return counts
+
+
+def _walk_shots(program, draws: np.ndarray, counts: dict[str, int]) -> None:
+    """Add to ``counts`` the outcomes of the shots whose uniforms are ``draws``' rows."""
+    instructions = program.instructions
+    # Each pending branch: (next instruction index, state, classical bits,
+    # rows of the shots that reached it, index of its next measurement).
+    pending: list[tuple[int, StateVector, list[int], np.ndarray, int]] = [
+        (0, zero_state(program.n_qubits), [0] * program.n_cbits, np.arange(len(draws)), 0)
+    ]
+    while pending:
+        pos, state, cbits, rows, measured = pending.pop()
+        while pos < len(instructions):
+            ins = instructions[pos]
+            pos += 1
+            if isinstance(ins, MeasureOp):
+                if not 0 <= ins.cbit < program.n_cbits:
+                    raise IndexError(f"classical bit {ins.cbit} out of range")
+                ones = draws[rows, measured] < _p_one(state, ins.qubit)
+                splits = ((0, rows[~ones]), (1, rows[ones]))
+                reached = [(outcome, part) for outcome, part in splits if part.size]
+                for k, (outcome, branch_rows) in enumerate(reached):
+                    # The last branch takes the parent's state; it is projected
+                    # after every other branch has copied it.
+                    branch_state = state if k == len(reached) - 1 else state.copy()
+                    branch_bits = list(cbits)
+                    branch_bits[ins.cbit] = outcome
+                    pending.append((
+                        pos, _project(branch_state, ins.qubit, outcome),
+                        branch_bits, branch_rows, measured + 1,
+                    ))
+                break
+            apply_gate(state, ins, cbits)
+        else:
+            key = cbit_key(cbits)
+            counts[key] = counts.get(key, 0) + len(rows)
 
 
 def branch_probabilities(program, initial_state: StateVector | None = None) -> dict[str, float]:

@@ -9,10 +9,11 @@ matching the package convention.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qtabu.qasm import Program
 from qtabu.routing import CouplingMap
-from qtabu.statevector import Gate, GateOp, MeasureOp
+from qtabu.statevector import Gate, GateOp, MeasureOp, cbit_key, run_program
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -156,6 +157,44 @@ def random_gate_program(
             kind = kind if kind is not Gate.CX else Gate.H
             instructions.append(GateOp(kind, int(rng.integers(n_qubits))))
     return Program(n_qubits, 0, instructions)
+
+
+@st.composite
+def programs(draw, max_qubits: int = 10) -> Program:
+    """A serializable program touching at most 5 of up to ``max_qubits``
+    qubits, with idle qubits between and around them.
+
+    Instructions are x/z/h, cx, conditioned x/z and measurements into 1-3
+    classical bits, which later measurements may overwrite.
+    """
+    n_qubits = draw(st.integers(1, max_qubits))
+    used = sorted(draw(st.sets(st.integers(0, n_qubits - 1), min_size=1, max_size=5)))
+    n_cbits = draw(st.integers(1, 3))
+    qubit = st.sampled_from(used)
+    cbit = st.integers(0, n_cbits - 1)
+    choices = [
+        st.builds(GateOp, st.sampled_from([Gate.X, Gate.Z, Gate.H]), qubit),
+        st.builds(MeasureOp, qubit, cbit),
+        st.builds(
+            lambda kind, target, bit: GateOp(kind, target, condition=(bit, 1)),
+            st.sampled_from([Gate.X, Gate.Z]), qubit, cbit,
+        ),
+    ]
+    if len(used) >= 2:
+        pairs = st.tuples(qubit, qubit).filter(lambda pair: pair[0] != pair[1])
+        choices.append(pairs.map(lambda pair: GateOp(Gate.CX, pair[1], control=pair[0])))
+    instructions = draw(st.lists(st.one_of(choices), min_size=1, max_size=14))
+    return Program(n_qubits, n_cbits, instructions)
+
+
+def shot_counts(program: Program, shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """Classical-register counts of ``shots`` separate runs, one ``run_program`` each."""
+    counts: dict[str, int] = {}
+    for _ in range(shots):
+        _, cbits = run_program(program, rng)
+        key = cbit_key(cbits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def random_connected_map(rng: np.random.Generator, n_physical: int) -> CouplingMap:

@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from qtabu import statevector
 from qtabu.cli import main
 
 BELL_MEASURED = (
@@ -75,23 +76,48 @@ def test_simulate_writes_out_file(tmp_path, capsys):
     assert out_path.read_text().startswith("bitstring,count,probability\n")
 
 
-def test_simulate_readme_example_within_budget(capsys):
-    """The README's 4096-shot teleport on the 16-qubit map. Each shot runs
-    the three touched qubits; a return to 2^16 amplitudes per shot takes
-    tens of seconds."""
+def teleport_16q_argv(shots: int) -> list[str]:
+    """``simulate`` of the bundled teleport circuit on the 16-qubit sample map."""
     assets = resources.files("qtabu").joinpath("assets")
-    argv = [
+    return [
         "simulate", str(assets.joinpath("teleport.qasm")),
-        "--map", str(assets.joinpath("sample_16q_map.txt")), "--shots", "4096", "--seed", "1",
+        "--map", str(assets.joinpath("sample_16q_map.txt")),
+        "--shots", str(shots), "--seed", "1",
     ]
+
+
+def test_simulate_readme_example_within_budget(capsys):
+    """The README's 4096-shot teleport on the 16-qubit map. Shots run on the
+    three touched qubits, and each distinct measurement-outcome prefix is
+    simulated once for all the shots that share it; simulating 2^16
+    amplitudes once per shot takes tens of seconds."""
     start = time.perf_counter()
-    code, out, _ = run_cli(capsys, argv)
+    code, out, _ = run_cli(capsys, teleport_16q_argv(4096))
     elapsed = time.perf_counter() - start
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert sum(int(count) for _, count, _ in rows) == 4096
     assert all(key[0] == "0" for key, _, _ in rows)  # teleporting |0> never yields 1
     assert elapsed < 10.0, f"4096 shots took {elapsed:.1f} s"
+
+
+def test_simulate_gate_count_does_not_grow_with_shots(capsys, monkeypatch):
+    """Routed teleport applies 4 gates before its measurements and 2
+    conditioned ones on each of its 4 outcome paths, at any shot count."""
+    calls = []
+    apply_gate = statevector.apply_gate
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return apply_gate(*args, **kwargs)
+
+    monkeypatch.setattr(statevector, "apply_gate", counted)
+    per_shots = {}
+    for shots in (64, 4096):
+        calls.clear()
+        assert run_cli(capsys, teleport_16q_argv(shots))[0] == 0
+        per_shots[shots] = len(calls)
+    assert per_shots == {64: 12, 4096: 12}
 
 
 def test_simulate_measured_circuit_on_a_map_wider_than_the_simulator(tmp_path, capsys):
@@ -268,6 +294,25 @@ def test_exit_code_rejected_instance_values(tmp_path, capsys, text, message):
     assert code == 2
     assert out == ""
     assert f"parse error: {message}" in err
+
+
+def test_exit_code_engine_error_for_settings(tmp_path, capsys):
+    instance = write(tmp_path, "inst.txt", TINY_INSTANCE)
+    argv = ["qts", instance, "--tenure", "600", "--max-iter", "500", "--seed", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "engine error: tabu_tenure 600 must be smaller than max_iterations 500" in err
+    assert "parse error" not in err
+
+
+def test_exit_code_engine_error_for_problem_size(tmp_path, capsys):
+    instance = write(tmp_path, "inst.txt", "21 30\n" + "1 1\n" * 21)
+    code, out, err = run_cli(capsys, ["qts", instance, "--seed", "0"])
+    assert code == 2
+    assert out == ""
+    assert "engine error: n_items must be in 1..20, got 21" in err
+    assert "parse error" not in err
 
 
 def test_exit_code_routing_error(tmp_path, capsys):

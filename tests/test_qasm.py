@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import program_unitary, teleport_distribution
+from oracles import program_unitary, programs, teleport_distribution
 from qtabu.mapsearch import load_teleport
 from qtabu.qasm import Program, QasmParseError, compact, parse, serialize
 from qtabu.routing import parse_coupling_map, route
@@ -163,6 +163,12 @@ def test_round_trip_identity_on_random_programs():
         assert parse(serialize(program)) == program
 
 
+@settings(max_examples=200, deadline=None)
+@given(programs())
+def test_round_trip_identity_property(program):
+    assert parse(serialize(program)) == program
+
+
 def test_serialize_of_parse_is_stable():
     source = "qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nif(c[0]==1) z q[1];\n"
     assert serialize(parse(source)) == source
@@ -218,34 +224,9 @@ def _touched(program: Program) -> list[int]:
     return sorted(qubits)
 
 
-@st.composite
-def padded_programs(draw):
-    """A program on at most 5 qubits, placed among up to 10 with idle
-    qubits between and around them."""
-    n_qubits = draw(st.integers(1, 10))
-    used = sorted(draw(st.sets(st.integers(0, n_qubits - 1), min_size=1, max_size=5)))
-    n_cbits = draw(st.integers(1, 3))
-    qubit = st.sampled_from(used)
-    cbit = st.integers(0, n_cbits - 1)
-    choices = [
-        st.builds(GateOp, st.sampled_from([Gate.X, Gate.Z, Gate.H]), qubit),
-        st.builds(MeasureOp, qubit, cbit),
-        st.builds(
-            lambda kind, target, bit: GateOp(kind, target, condition=(bit, 1)),
-            st.sampled_from([Gate.X, Gate.Z]), qubit, cbit,
-        ),
-    ]
-    if len(used) >= 2:
-        pairs = st.tuples(qubit, qubit).filter(lambda pair: pair[0] != pair[1])
-        choices.append(pairs.map(lambda pair: GateOp(Gate.CX, pair[1], control=pair[0])))
-    instructions = draw(st.lists(st.one_of(choices), min_size=1, max_size=14))
-    return Program(n_qubits, n_cbits, instructions), draw(st.integers(0, 2**32 - 1))
-
-
 @settings(max_examples=200, deadline=None)
-@given(padded_programs())
-def test_compacted_program_runs_like_the_full_one(case):
-    program, seed = case
+@given(programs(), st.integers(0, 2**32 - 1))
+def test_compacted_program_runs_like_the_full_one(program, seed):
     compacted = compact(program)
     used = _touched(program)
     assert compacted.n_qubits == len(used)

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import gate_matrix
+import oracles
+from oracles import gate_matrix, programs
 from qtabu.qasm import Program
 from qtabu.statevector import (
+    SHOT_BLOCK,
     Gate,
     GateOp,
     MeasureOp,
@@ -18,6 +22,7 @@ from qtabu.statevector import (
     probabilities,
     run_program,
     sample_counts,
+    shot_counts,
     total_variation_distance,
     zero_state,
 )
@@ -253,6 +258,52 @@ def test_run_program_executes_conditions():
         assert cbits[0] == cbits[1]
         seen.add(tuple(cbits))
     assert seen == {(0, 0), (1, 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs(max_qubits=5), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_shot_counts_matches_one_run_per_shot(program, shots, seed):
+    rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    assert shot_counts(program, shots, rng) == oracles.shot_counts(program, shots, oracle_rng)
+    assert rng.random() == oracle_rng.random()
+
+
+@pytest.mark.parametrize("measures", [1, 2])
+def test_shot_counts_crosses_the_block_boundary(measures):
+    # A block holds SHOT_BLOCK // measures shots. The qubit collapses at its
+    # first measurement, so every later one repeats that outcome.
+    program = Program(
+        1, measures, [GateOp(Gate.H, 0), *(MeasureOp(0, cbit) for cbit in range(measures))]
+    )
+    shots = SHOT_BLOCK // measures + 3
+    p_one = probabilities(apply_gate(zero_state(1), GateOp(Gate.H, 0)))[1]
+    first_draws = np.random.default_rng(8).random((shots, measures))[:, 0]
+    ones = int(np.sum(first_draws < p_one))
+    counts = shot_counts(program, shots, np.random.default_rng(8))
+    assert counts == {"0" * measures: shots - ones, "1" * measures: ones}
+
+
+@pytest.mark.parametrize(
+    "instructions, error",
+    [
+        ([GateOp(Gate.H, 0), MeasureOp(0, 2)], "classical bit 2 out of range"),
+        ([GateOp(Gate.H, 0), MeasureOp(1, 0)], "measured qubit 1 out of range"),
+        ([MeasureOp(0, 0), GateOp(Gate.X, 0, condition=(3, 1))], "classical bit 3 out of range"),
+    ],
+)
+def test_shot_counts_raises_what_run_program_raises(instructions, error):
+    program = Program(1, 1, instructions)
+    with pytest.raises(IndexError, match=error):
+        run_program(program, np.random.default_rng(0))
+    with pytest.raises(IndexError, match=error):
+        shot_counts(program, 10, np.random.default_rng(0))
+
+
+def test_shot_counts_rejects_no_shots():
+    program = Program(1, 1, [MeasureOp(0, 0)])
+    with pytest.raises(ValueError, match="shots must be >= 1, got 0"):
+        shot_counts(program, 0, np.random.default_rng(0))
 
 
 def test_branch_probabilities_single_h():
