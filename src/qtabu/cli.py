@@ -255,22 +255,25 @@ def cmd_search_map(args: argparse.Namespace) -> int:
                 f"(limit {MAX_QUBITS}); pass --candidates with an explicit pair list"
             )
     problem = MapSearchProblem(program, candidates, args.budget)
+    # Every run finishes before any output, so an engine error writes nothing.
+    rows = []
     best = None
-    with _out_stream(args) as out:
-        print("run,seed,best_score,best_iteration,iterations_run", file=out)
+    with _engine_errors():
         for run in range(args.runs):
             run_seed = seed + run
-            with _engine_errors():
-                scored = search_best_map(problem, _search_config(args, run_seed))
+            scored = search_best_map(problem, _search_config(args, run_seed))
             search = scored.search
-            print(
+            rows.append(
                 f"{run},{run_seed},{scored.score!r},"
-                f"{search.best_iteration},{search.iterations_run}",
-                file=out,
+                f"{search.best_iteration},{search.iterations_run}"
             )
             if best is None or scored.score > best.score:
                 best = scored
     assert best is not None
+    with _out_stream(args) as out:
+        print("run,seed,best_score,best_iteration,iterations_run", file=out)
+        for row in rows:
+            print(row, file=out)
     print(json.dumps([list(edge) for edge in best.map.edges]))
     print(f"score={best.score!r}")
     return 0

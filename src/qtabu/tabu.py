@@ -17,6 +17,13 @@ Fitness is profit times a soft capacity penalty:
     f(s) = (sum_i b_i s_i) * (1 - max(0, sum_i w_i s_i - max_capacity))
 
 which goes negative when the load exceeds capacity by more than one unit.
+
+A run keeps to a few hundred distinct selections and stands on most of them
+again and again, so it scores each one once: its value, the score of every
+single-bit flip and those flips ranked best first go into a per-run cache
+keyed by the selection. The cache holds at most ``CACHE_SCORES`` flip
+scores (``CACHE_SCORES // n_items`` selections) at any ``max_iterations``;
+once it is full, new selections are scored on every visit but not stored.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Literal, Sequence, get_args
+from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -38,6 +45,21 @@ _MODES = get_args(PopulationMode)
 _SQRT2_INV = 2.0 ** -0.5  # the amplitude h puts on each basis state
 _PLUS = np.array([_SQRT2_INV] * 2, dtype=complex)
 _BELL = np.array([_SQRT2_INV, 0.0, 0.0, _SQRT2_INV], dtype=complex)
+# Flip scores one run's neighbourhood cache may hold: about 4 MiB of Python
+# objects (some 60 bytes a score) at any number of items.
+CACHE_SCORES = 2**16
+
+# A selection's value, the score of flipping each item, and the items
+# ranked by that score, best first with ties to the lowest index.
+Neighbourhood = tuple[float, list[float], list[int]]
+
+
+def _fsum(values: Iterable[float]) -> float:
+    """``math.fsum``, with ``inf`` where the exact sum is beyond the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -64,6 +86,15 @@ class KnapsackInstance:
                 raise ValueError(f"weights[{k}] must be >= 0, got {value!r}")
         if not math.isfinite(self.max_capacity):
             raise ValueError(f"max_capacity must be finite, got {self.max_capacity!r}")
+        # Every profit and load sum the engine forms is bounded by one of
+        # these totals, so sums stay finite and flip scores are never NaN.
+        totals = (
+            ("total |profits|", _fsum(map(abs, self.profits))),
+            ("total weights plus |max_capacity|", _fsum(self.weights) + abs(self.max_capacity)),
+        )
+        for name, total in totals:
+            if not math.isfinite(total):
+                raise ValueError(f"{name} must be finite, got {total!r}")
         # The engine scores flips in Python floats and takes a selection's
         # sums from read-only arrays, both built once here.
         for name in ("profits", "weights"):
@@ -275,46 +306,54 @@ def sample_candidate(
     return _as_population(population).sample(rng.random())
 
 
+def _neighbourhood(instance: KnapsackInstance, bits: CandidateSolution) -> Neighbourhood:
+    """Score one selection and every single-bit flip of it from its two sums.
+
+    Each flip is scored in plain Python floats: at these sizes numpy's
+    per-call overhead would dominate. Taking an item out or putting it in
+    is the same IEEE operation as adding ``value * sign`` to the sums with
+    ``sign = -1.0`` or ``1.0``, so the scores equal a vectorised numpy
+    formula bit for bit. ``sorted`` is stable with ``reverse=True`` too, so
+    equal scores stay in item order.
+    """
+    profit, load = _sums(instance, bits)
+    capacity = instance.max_capacity
+    scores = [
+        _value(profit - p, load - w, capacity) if bit else _value(profit + p, load + w, capacity)
+        for bit, p, w in zip(bits, instance.profits, instance.weights)
+    ]
+    ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    return _value(profit, load, capacity), scores, ranked
+
+
 def select_move(
     state: SearchState,
     instance: KnapsackInstance,
-    sums: tuple[float, float] | None = None,
+    hood: Neighbourhood | None = None,
 ) -> tuple[CandidateSolution, int]:
     """Pick the next selection from the flip neighborhood of ``state.current``.
 
     Tabu moves are skipped unless they beat ``best_evaluation`` (aspiration).
     The best admissible score wins, ties to the lowest item index. If every
     move is tabu and none aspirates, the oldest tabu move is taken. Expired
-    tabu entries are purged first. ``sums`` are ``_sums`` of
-    ``state.current``, passed by a caller that already has them.
+    tabu entries are purged first. ``hood`` is ``_neighbourhood`` of
+    ``state.current``, passed by a caller that already has it; it is only
+    read, never changed.
     """
     while state.tabu_list and state.tabu_list[0][1] < state.iteration:
         state.tabu_list.popleft()
-    profit, load = _sums(instance, state.current) if sums is None else sums
-    capacity = instance.max_capacity
+    _, scores, ranked = _neighbourhood(instance, state.current) if hood is None else hood
     tabu_items = {item for item, _ in state.tabu_list}
-    best_k = -1
-    best_score = 0.0
-    # Each flip is scored from the current sums in plain Python floats: at
-    # these sizes numpy's per-call overhead would dominate. Taking an item
-    # out or putting it in is the same IEEE operation as adding
-    # ``value * sign`` to the sums with ``sign = -1.0`` or ``1.0``, so the
-    # scores equal a vectorised numpy formula bit for bit.
-    for k, (bit, p, w) in enumerate(zip(state.current, instance.profits, instance.weights)):
-        if bit:
-            score = _value(profit - p, load - w, capacity)
-        else:
-            score = _value(profit + p, load + w, capacity)
-        if k in tabu_items and score <= state.best_evaluation:
-            state.tabu_blocked += 1
-            continue
-        if best_k == -1 or score > best_score:
-            best_k, best_score = k, score
-    if best_k == -1:
+    blocked = {k for k in tabu_items if scores[k] <= state.best_evaluation}
+    state.tabu_blocked += len(blocked)
+    for best_k in ranked:
+        if best_k not in blocked:
+            if best_k in tabu_items:
+                state.aspiration_accepts += 1
+            break
+    else:
         state.all_tabu_fallbacks += 1
         best_k = state.tabu_list[0][0]
-    elif best_k in tabu_items:
-        state.aspiration_accepts += 1
     flipped = list(state.current)
     flipped[best_k] ^= 1
     return tuple(flipped), best_k
@@ -365,14 +404,25 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     rng = np.random.default_rng(config.seed)
     population = init_population(n, config.population_mode)
     current = sample_candidate(population, rng)
-    # The sums of the current selection are taken once: they give its trace
-    # value and score the next iteration's moves.
-    sums = _sums(instance, current)
+    # Each selection's neighbourhood gives its trace value and scores the
+    # next iteration's moves; the first CACHE_SCORES // n scored are kept.
+    cache: dict[CandidateSolution, Neighbourhood] = {}
+    room = CACHE_SCORES // n
+
+    def neighbourhood(bits: CandidateSolution) -> Neighbourhood:
+        hood = cache.get(bits)
+        if hood is None:
+            hood = _neighbourhood(instance, bits)
+            if len(cache) < room:
+                cache[bits] = hood
+        return hood
+
+    hood = neighbourhood(current)
     state = SearchState(
         population=population,
         current=current,
         best_solution=current,
-        best_evaluation=_value(*sums, instance.max_capacity),
+        best_evaluation=hood[0],
         best_iteration=0,
         iteration=0,
         tabu_list=deque(maxlen=tenure),
@@ -382,12 +432,12 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         state.iteration = iteration
         if iteration - state.best_iteration > config.stagnation_limit:
             escape(state, rng)
-            sums = _sums(instance, state.current)
-        chosen, flipped = select_move(state, instance, sums)
+            hood = neighbourhood(state.current)
+        chosen, flipped = select_move(state, instance, hood)
         state.current = chosen
         state.tabu_list.append((flipped, iteration + tenure))
-        sums = _sums(instance, chosen)
-        current_eval = _value(*sums, instance.max_capacity)
+        hood = neighbourhood(chosen)
+        current_eval = hood[0]
         if current_eval > state.best_evaluation:
             state.best_solution = chosen
             state.best_evaluation = current_eval

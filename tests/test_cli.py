@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import time
+import warnings
 from importlib import resources
 
 import pytest
@@ -232,6 +233,19 @@ def test_search_map_too_many_default_candidates(tmp_path, capsys):
     assert "limit 20" in err
 
 
+def test_search_map_engine_error_writes_no_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "cx.qasm", SINGLE_CX)
+    pairs = [[a, b] for a in range(5) for b in range(5) if a != b] + [[0, 5]]
+    write(tmp_path, "c21.json", json.dumps(pairs))
+    argv = ["search-map", "cx.qasm", "--candidates", "c21.json", "--out", "o.csv", "--seed", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "engine error: 21 candidate edges exceed" in err
+    assert out == ""
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_bench_teleport_output_shape(capsys):
     code, out, err = run_cli(capsys, ["bench-teleport", "--shots", "400", "--seed", "5"])
     assert code == 0
@@ -286,11 +300,16 @@ def test_exit_code_parse_error_bad_instance(tmp_path, capsys):
     [
         ("2 3\nnan 1\n4 2\n", "profits[0] must be finite, got nan"),
         ("2 3\n5 1\n4 -2\n", "weights[1] must be >= 0, got -2.0"),
+        ("3 0\n1e308 1\n1e308 1\n1 1\n", "total |profits| must be finite, got inf"),
+        ("2 -1.7e308\n1 1.7e308\n1 1\n", "total weights plus |max_capacity| must be finite"),
     ],
 )
 def test_exit_code_rejected_instance_values(tmp_path, capsys, text, message):
     instance = write(tmp_path, "inst.txt", text)
-    code, out, err = run_cli(capsys, ["qts", instance, "--seed", "0"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["qts", instance, "--seed", "0"])
+    assert caught == []
     assert code == 2
     assert out == ""
     assert f"parse error: {message}" in err

@@ -3,7 +3,10 @@
 ``oracles.select_move`` scores flips with the vectorised numpy formula; the
 engine's Python-float scores must pick the same move bit for bit. Short
 seeded runs are replayed from their recorded moves to check the trace and
-the counters in ``SearchResult``.
+the counters in ``SearchResult``. A run scores each selection once and
+reuses it from a bounded cache: whole runs are checked move by move against
+the oracle, against runs that rescore every visit, and for how often they
+score.
 """
 
 from __future__ import annotations
@@ -213,3 +216,139 @@ def test_tenure_holds_over_whole_runs():
                         assert aspiration or after == (aspired, fell_back + 1), (n, mode, iteration)
                     last_flip[item] = iteration
     assert reflips > 0
+
+
+def _run_config(seed, mode, stagnation, tenure, iterations=150) -> SearchConfig:
+    return SearchConfig(
+        max_iterations=iterations,
+        stagnation_limit=stagnation,
+        tabu_tenure=tenure,
+        population_mode=mode,
+        seed=seed,
+    )
+
+
+RUN_SETTINGS = (
+    fractional_instances(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(MODES),
+    st.integers(1, 12),
+    st.integers(1, 8),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*RUN_SETTINGS)
+def test_every_move_of_a_run_matches_the_oracle(instance, seed, mode, stagnation, tenure):
+    """Runs stand on the same selections again and again, so most moves
+    here are picked from cached neighbourhoods; each must still be the
+    oracle's move for that iteration's tabu list and best, with the
+    counters it implies."""
+    args = (instance.profits, instance.weights, instance.max_capacity)
+    select_move = tabu.select_move
+    moves = 0
+
+    def checked_move(state, *rest):
+        nonlocal moves
+        current, tabu_list, best = state.current, list(state.tabu_list), state.best_evaluation
+        before = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
+        move = select_move(state, *rest)
+        assert move == oracles.select_move(*args, current, tabu_list, state.iteration, best)
+        scores = oracles.flip_scores(*args, current)
+        live = {item for item, last in tabu_list if last >= state.iteration}
+        blocked = sum(1 for k in live if scores[k] <= best)
+        fallback = blocked == instance.n_items
+        expected = (
+            before[0] + blocked,
+            before[1] + int(not fallback and move[1] in live),
+            before[2] + int(fallback),
+        )
+        assert (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks) == expected
+        moves += 1
+        return move
+
+    with mock.patch.object(tabu, "select_move", checked_move):
+        tabu.qts_run(instance, _run_config(seed, mode, stagnation, tenure))
+    assert moves == 150
+
+
+@settings(max_examples=100, deadline=None)
+@given(*RUN_SETTINGS)
+def test_runs_that_rescore_every_visit_are_identical(instance, seed, mode, stagnation, tenure):
+    """With no room in the cache every lookup scores afresh; the result,
+    trace and counters must not change, down to the sign of a zero."""
+    config = _run_config(seed, mode, stagnation, tenure)
+    cached = tabu.qts_run(instance, config)
+    with mock.patch.object(tabu, "CACHE_SCORES", 0):
+        rescored = tabu.qts_run(instance, config)
+    assert repr(rescored) == repr(cached)
+
+
+def _scored_run(instance: KnapsackInstance, config: SearchConfig):
+    """``qts_run`` with the selections it scored and every selection it
+    looked up, in order: each draw (the first and each escape's) and each
+    move's result."""
+    scored: list[tuple[int, ...]] = []
+    looked_up: list[tuple[int, ...]] = []
+    neighbourhood, select_move, sample = tabu._neighbourhood, tabu.select_move, tabu.sample_candidate
+
+    def record_score(instance, bits):
+        scored.append(bits)
+        return neighbourhood(instance, bits)
+
+    def record_move(state, *rest):
+        move = select_move(state, *rest)
+        looked_up.append(move[0])
+        return move
+
+    def record_draw(population, rng):
+        bits = sample(population, rng)
+        looked_up.append(bits)
+        return bits
+
+    with (
+        mock.patch.object(tabu, "_neighbourhood", record_score),
+        mock.patch.object(tabu, "select_move", record_move),
+        mock.patch.object(tabu, "sample_candidate", record_draw),
+    ):
+        result = tabu.qts_run(instance, config)
+    return result, scored, looked_up
+
+
+def test_each_selection_is_scored_once_per_run():
+    rng = np.random.default_rng(8)
+    profits, weights = rng.uniform(0.5, 30.0, size=10), rng.uniform(0.1, 15.0, size=10)
+    instance = KnapsackInstance(tuple(profits), tuple(weights), float(0.4 * weights.sum()))
+    config = SearchConfig(max_iterations=500, seed=4)
+
+    result, scored, looked_up = _scored_run(instance, config)
+    escapes = result.escapes_cx + result.escapes_h
+    assert len(looked_up) == 1 + escapes + config.max_iterations
+    assert sorted(scored) == sorted(set(looked_up))
+    assert len(scored) < config.max_iterations // 2
+
+    with mock.patch.object(tabu, "CACHE_SCORES", 0):
+        _, rescored, _ = _scored_run(instance, config)
+    assert rescored == looked_up
+
+
+def test_a_long_run_stores_no_more_than_the_bound():
+    """Past ``CACHE_SCORES // n`` distinct selections, new ones are scored
+    on every visit: the calls are exactly the misses of a cache that keeps
+    the first ones it scored and no more."""
+    rng = np.random.default_rng(9)
+    profits, weights = rng.uniform(0.5, 30.0, size=20), rng.uniform(0.1, 15.0, size=20)
+    instance = KnapsackInstance(tuple(profits), tuple(weights), float(0.4 * weights.sum()))
+    config = SearchConfig(max_iterations=20_000, seed=6)
+
+    _, scored, looked_up = _scored_run(instance, config)
+    room = tabu.CACHE_SCORES // instance.n_items
+    held: set[tuple[int, ...]] = set()
+    misses = []
+    for bits in looked_up:
+        if bits not in held:
+            misses.append(bits)
+            if len(held) < room:
+                held.add(bits)
+    assert len(set(looked_up)) > room
+    assert scored == misses

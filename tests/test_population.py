@@ -49,6 +49,22 @@ def dense_inverse_cdfs(state: StateVector, us: list[float]) -> list[tuple[int, .
     return [tuple((int(index) >> k) & 1 for k in range(state.n_qubits)) for index in indices]
 
 
+def dyadic_inverse_cdfs(state: StateVector, us: list[float]) -> list[tuple[int, ...]]:
+    """The exact inverse CDF of a state whose probabilities are whole
+    multiples of ``2**-n``, as every fresh population's are.
+
+    The CDF counts those multiples in integers and each draw is searched as
+    ``u * 2**n``, a scaling by a power of two, so no draw meets a rounded
+    boundary.
+    """
+    size = 2**state.n_qubits
+    scaled = np.abs(state.amplitudes) ** 2 * size
+    counts = np.rint(scaled).astype(np.int64)
+    assert counts.sum() == size and np.abs(scaled - counts).max() < 1e-6, "state is not dyadic"
+    indices = np.searchsorted(np.cumsum(counts), np.asarray(us) * size, side="right")
+    return [tuple((int(index) >> k) & 1 for k in range(state.n_qubits)) for index in indices]
+
+
 @st.composite
 def gate_runs(draw):
     n = draw(st.integers(1, 12))
@@ -85,15 +101,17 @@ def test_factored_population_matches_dense(run):
 @pytest.mark.parametrize("mode", MODES)
 def test_long_tails_sample_as_dense(mode):
     """Fresh populations past the Hypothesis widths, where the tail decides
-    most bits. Fixed draws cover the top digits' edges and the largest
-    float below 1; deeper dyadic edges are left out, because there the
-    dense cumsum of ``2**n`` rounded terms can land a last bit off."""
-    edges = [0.0, 0.25, 0.5, 0.75, math.nextafter(1.0, 0.0)]
+    most bits, against the exact dyadic CDF. Fixed draws cover the top
+    digits' edges, every dyadic edge ``2**-k`` down to the last qubit's,
+    the float just below each, and the largest float below 1."""
     rng = np.random.default_rng(13)
     for n in range(13, 21):
+        dyadic = [2.0**-k for k in range(1, n + 1)]
+        edges = [0.0, 0.25, 0.5, 0.75, math.nextafter(1.0, 0.0)]
+        edges += dyadic + [math.nextafter(u, 0.0) for u in dyadic]
         us = edges + rng.random(300).tolist()
         population = init_population(n, mode)
-        assert [population.sample(u) for u in us] == dense_inverse_cdfs(
+        assert [population.sample(u) for u in us] == dyadic_inverse_cdfs(
             dense_population(n, mode), us
         )
 

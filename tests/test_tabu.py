@@ -36,6 +36,24 @@ def test_instance_validation():
         KnapsackInstance((1.0,), (1.0,), float("nan"))
 
 
+def test_instance_rejects_totals_beyond_the_float_range():
+    """Finite entries whose totals overflow would make a selection's sums
+    infinite and its flip scores NaN; the error names the total."""
+    big = 1.7e308
+    with pytest.raises(ValueError, match=r"total \|profits\| must be finite, got inf"):
+        KnapsackInstance((1e308, 1e308, 1.0), (1.0, 1.0, 1.0), 0.0)
+    with pytest.raises(ValueError, match=r"total \|profits\| must be finite"):
+        KnapsackInstance((big, -big), (1.0, 1.0), 0.0)
+    with pytest.raises(ValueError, match=r"total weights plus \|max_capacity\| must be finite"):
+        KnapsackInstance((1.0, 1.0), (big, big), 0.0)
+    with pytest.raises(ValueError, match=r"total weights plus \|max_capacity\| must be finite"):
+        KnapsackInstance((1.0,), (big,), -big)
+    # Totals just inside the range are accepted and run without overflow.
+    instance = KnapsackInstance((big / 2, big / 2), (big / 4, big / 4), big / 2)
+    result = qts_run(instance, SearchConfig(max_iterations=20, seed=0))
+    assert all(np.isfinite(value) for _, value, _ in result.trace)
+
+
 def test_parse_instance_round_values():
     inst = parse_instance("4 7\n10 5\n7 4\n4 2\n3 1\n")
     assert inst.n_items == 4
