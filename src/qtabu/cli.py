@@ -258,17 +258,17 @@ def cmd_search_map(args: argparse.Namespace) -> int:
     # Every run finishes before any output, so an engine error writes nothing.
     rows = []
     best = None
-    with _engine_errors():
-        for run in range(args.runs):
-            run_seed = seed + run
+    for run in range(args.runs):
+        run_seed = seed + run
+        with _engine_errors():
             scored = search_best_map(problem, _search_config(args, run_seed))
-            search = scored.search
-            rows.append(
-                f"{run},{run_seed},{scored.score!r},"
-                f"{search.best_iteration},{search.iterations_run}"
-            )
-            if best is None or scored.score > best.score:
-                best = scored
+        search = scored.search
+        rows.append(
+            f"{run},{run_seed},{scored.score!r},"
+            f"{search.best_iteration},{search.iterations_run}"
+        )
+        if best is None or scored.score > best.score:
+            best = scored
     assert best is not None
     with _out_stream(args) as out:
         print("run,seed,best_score,best_iteration,iterations_run", file=out)

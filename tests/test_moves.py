@@ -218,9 +218,12 @@ def test_tenure_holds_over_whole_runs():
     assert reflips > 0
 
 
-def _run_config(seed, mode, stagnation, tenure, iterations=150) -> SearchConfig:
+RUN_ITERATIONS = 150
+
+
+def _run_config(seed, mode, stagnation, tenure) -> SearchConfig:
     return SearchConfig(
-        max_iterations=iterations,
+        max_iterations=RUN_ITERATIONS,
         stagnation_limit=stagnation,
         tabu_tenure=tenure,
         population_mode=mode,
@@ -269,7 +272,7 @@ def test_every_move_of_a_run_matches_the_oracle(instance, seed, mode, stagnation
 
     with mock.patch.object(tabu, "select_move", checked_move):
         tabu.qts_run(instance, _run_config(seed, mode, stagnation, tenure))
-    assert moves == 150
+    assert moves == RUN_ITERATIONS
 
 
 @settings(max_examples=100, deadline=None)
