@@ -21,6 +21,7 @@ from typing import get_args
 import numpy as np
 
 from .mapsearch import (
+    DEFAULT_EDGE_BUDGET,
     MapSearchProblem,
     all_directed_pairs,
     load_teleport,
@@ -118,7 +119,7 @@ def _build_parser() -> _Parser:
                    help="physical qubit count for default candidates (default: circuit size)")
     p.add_argument("--candidates", default=None,
                    help="candidate edge file (JSON pair list); default: all directed pairs")
-    p.add_argument("--budget", type=_nonnegative_int, default=6, help="edge budget")
+    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_EDGE_BUDGET, help="edge budget")
     p.add_argument("--runs", type=_positive_int, default=1)
     engine(p)
     common(p)

@@ -2,7 +2,8 @@
 
 Picking directed edges for a device is cast as a knapsack: each candidate
 edge is an item of weight 1, the budget is the number of edges the device
-may have, and an edge's profit is how much cx support it buys, counting
+may have, and an edge's profit is ``support_score`` of the map holding that
+edge alone, which counts
 
     1.0 for every circuit cx it supports directly, plus
     0.5 for every circuit cx it supports in reverse (four added h gates).
@@ -18,8 +19,8 @@ from typing import Sequence
 
 from .qasm import Program, parse
 from .routing import CouplingMap, RoutingError, RoutingReport, direct_support_count, route
-from .statevector import MAX_QUBITS, Gate, GateOp
-from .tabu import KnapsackInstance, SearchConfig, SearchResult, fitness, qts_run
+from .statevector import MAX_QUBITS
+from .tabu import KnapsackInstance, SearchConfig, SearchResult, qts_run
 
 DIRECT_EDGE_PROFIT = 1.0
 REVERSED_EDGE_PROFIT = 0.5
@@ -72,14 +73,6 @@ def all_directed_pairs(n_physical: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _cx_pairs(circuit: Program) -> list[tuple[int, int]]:
-    return [
-        (ins.control, ins.target)
-        for ins in circuit.instructions
-        if isinstance(ins, GateOp) and ins.kind is Gate.CX and ins.control is not None
-    ]
-
-
 def derive_knapsack(problem: MapSearchProblem) -> KnapsackInstance:
     """Translate edge selection into a knapsack instance (one item per edge)."""
     if len(problem.candidate_edges) > MAX_QUBITS:
@@ -87,14 +80,12 @@ def derive_knapsack(problem: MapSearchProblem) -> KnapsackInstance:
             f"{len(problem.candidate_edges)} candidate edges exceed the "
             f"{MAX_QUBITS}-item population limit"
         )
-    pairs = _cx_pairs(problem.circuit)
-    profits = []
-    for edge in problem.candidate_edges:
-        direct = sum(1 for pair in pairs if pair == edge)
-        reverse = sum(1 for pair in pairs if pair == (edge[1], edge[0]))
-        profits.append(DIRECT_EDGE_PROFIT * direct + REVERSED_EDGE_PROFIT * reverse)
+    profits = tuple(
+        support_score(problem.circuit, CouplingMap(1 + max(edge), (edge,)))
+        for edge in problem.candidate_edges
+    )
     weights = (1.0,) * len(problem.candidate_edges)
-    return KnapsackInstance(tuple(profits), weights, float(problem.edge_budget))
+    return KnapsackInstance(profits, weights, float(problem.edge_budget))
 
 
 def decode(bits: Sequence[int], problem: MapSearchProblem) -> CouplingMap:
@@ -137,19 +128,19 @@ class ScoredMap:
 def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = None) -> ScoredMap:
     """Run the tabu engine over edge selections and score the winner.
 
-    The reported score is the knapsack fitness recomputed from the returned
-    selection. Routing the circuit on the winning map can fail (for example
-    with a budget of zero); the report is then None.
+    The reported score is the run's best knapsack fitness, which is bit for
+    bit ``fitness`` of the returned selection. Routing the circuit on the
+    winning map can fail (for example with a budget of zero); the report is
+    then None.
     """
     instance = derive_knapsack(problem)
     result = qts_run(instance, config)
     cmap = decode(result.best_solution, problem)
-    score = fitness(instance, result.best_solution)
     try:
         _, report = route(problem.circuit, cmap)
     except RoutingError:
         report = None
-    return ScoredMap(map=cmap, score=score, routing=report, search=result)
+    return ScoredMap(map=cmap, score=result.best_evaluation, routing=report, search=result)
 
 
 def load_teleport() -> Program:

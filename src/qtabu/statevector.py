@@ -232,64 +232,39 @@ def shot_counts(program, shots: int, rng: np.random.Generator) -> dict[str, int]
     ``run_program``, but simulates each distinct measurement-outcome prefix
     once. Every shot takes one uniform per measurement, so drawing a
     ``(shots, measurements)`` array row by row hands each shot the uniforms
-    ``run_program`` would draw for it; at each measurement the shots of a
-    branch split on ``measure``'s own comparison with ``_p_one``. Shots are
-    drawn and walked in blocks of at most ``SHOT_BLOCK`` uniforms (whole
-    rows, at least one), which continue the same row-major stream.
+    ``run_program`` would draw for it. On ``_walk`` a branch weighs its
+    shots' rows and its next measurement's column; the rows split on
+    ``measure``'s own comparison with ``_p_one``. Shots are drawn and walked
+    in blocks of at most ``SHOT_BLOCK`` uniforms (whole rows, at least one),
+    which continue the same row-major stream.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     n_measures = sum(isinstance(ins, MeasureOp) for ins in program.instructions)
     block = max(1, SHOT_BLOCK // max(1, n_measures))
+
+    def split(state: StateVector, qubit: int, weight: tuple[np.ndarray, int]):
+        rows, column = weight
+        ones = draws[rows, column] < _p_one(state, qubit)
+        parts = ((0, rows[~ones]), (1, rows[ones]))
+        return [(outcome, (part, column + 1)) for outcome, part in parts if part.size]
+
     counts: dict[str, int] = {}
     for start in range(0, shots, block):
         draws = rng.random((min(block, shots - start), n_measures))
-        _walk_shots(program, draws, counts)
-    return counts
-
-
-def _walk_shots(program, draws: np.ndarray, counts: dict[str, int]) -> None:
-    """Add to ``counts`` the outcomes of the shots whose uniforms are ``draws``' rows."""
-    instructions = program.instructions
-    # Each pending branch: (next instruction index, state, classical bits,
-    # rows of the shots that reached it, index of its next measurement).
-    pending: list[tuple[int, StateVector, list[int], np.ndarray, int]] = [
-        (0, zero_state(program.n_qubits), [0] * program.n_cbits, np.arange(len(draws)), 0)
-    ]
-    while pending:
-        pos, state, cbits, rows, measured = pending.pop()
-        while pos < len(instructions):
-            ins = instructions[pos]
-            pos += 1
-            if isinstance(ins, MeasureOp):
-                if not 0 <= ins.cbit < program.n_cbits:
-                    raise IndexError(f"classical bit {ins.cbit} out of range")
-                ones = draws[rows, measured] < _p_one(state, ins.qubit)
-                splits = ((0, rows[~ones]), (1, rows[ones]))
-                reached = [(outcome, part) for outcome, part in splits if part.size]
-                for k, (outcome, branch_rows) in enumerate(reached):
-                    # The last branch takes the parent's state; it is projected
-                    # after every other branch has copied it.
-                    branch_state = state if k == len(reached) - 1 else state.copy()
-                    branch_bits = list(cbits)
-                    branch_bits[ins.cbit] = outcome
-                    pending.append((
-                        pos, _project(branch_state, ins.qubit, outcome),
-                        branch_bits, branch_rows, measured + 1,
-                    ))
-                break
-            apply_gate(state, ins, cbits)
-        else:
-            key = cbit_key(cbits)
+        start_weight = (np.arange(len(draws)), 0)
+        for key, (rows, _) in _walk(program, zero_state(program.n_qubits), start_weight, split):
             counts[key] = counts.get(key, 0) + len(rows)
+    return counts
 
 
 def branch_probabilities(program, initial_state: StateVector | None = None) -> dict[str, float]:
     """Exact distribution over classical-register values, bit 0 rightmost.
 
     Walks every measurement branch with its Born probability instead of
-    sampling, so the result is deterministic and exact up to float error.
-    Branches of probability below 1e-15 are dropped.
+    sampling, on the same ``_walk`` as ``shot_counts``, so the result is
+    deterministic and exact up to float error. Branches of probability
+    below 1e-15 are dropped.
     """
     if initial_state is None:
         start = zero_state(program.n_qubits)
@@ -297,33 +272,51 @@ def branch_probabilities(program, initial_state: StateVector | None = None) -> d
         if initial_state.n_qubits != program.n_qubits:
             raise ValueError("initial state size does not match program")
         start = initial_state.copy()
-    instructions = program.instructions
+
+    def split(state: StateVector, qubit: int, prob: float):
+        p_one = min(max(_p_one(state, qubit), 0.0), 1.0)
+        parts = ((0, prob * (1.0 - p_one)), (1, prob * p_one))
+        return [(outcome, p_out) for outcome, p_out in parts if p_out > 1e-15]
+
     dist: dict[str, float] = {}
-    # Each pending branch: (next instruction index, state, classical bits, prob).
-    pending: list[tuple[int, StateVector, list[int], float]] = [
-        (0, start, [0] * program.n_cbits, 1.0)
-    ]
+    for key, prob in _walk(program, start, 1.0, split):
+        dist[key] = dist.get(key, 0.0) + prob
+    return dist
+
+
+def _walk(program, state: StateVector, weight, split):
+    """Walk ``program``'s measurement outcomes depth first from ``state``.
+
+    Yields ``(cbit key, weight)`` at the end of every outcome path. At each
+    measurement ``split(state, qubit, weight)`` lists the reached
+    ``(outcome, weight)`` children, outcome 0 first; each child continues
+    from the state projected onto its outcome. The last reached child takes
+    the parent's state, projected after every other child has copied it.
+    """
+    instructions = program.instructions
+    # Each pending branch: (next instruction index, state, classical bits, weight).
+    pending = [(0, state, [0] * program.n_cbits, weight)]
     while pending:
-        pos, state, cbits, prob = pending.pop()
+        pos, state, cbits, weight = pending.pop()
         while pos < len(instructions):
             ins = instructions[pos]
             pos += 1
             if isinstance(ins, MeasureOp):
-                p_one = min(max(_p_one(state, ins.qubit), 0.0), 1.0)
-                for outcome, p_out in ((0, 1.0 - p_one), (1, p_one)):
-                    if prob * p_out <= 1e-15:
-                        continue
+                if not 0 <= ins.cbit < program.n_cbits:
+                    raise IndexError(f"classical bit {ins.cbit} out of range")
+                reached = split(state, ins.qubit, weight)
+                for k, (outcome, branch_weight) in enumerate(reached):
+                    branch_state = state if k == len(reached) - 1 else state.copy()
                     branch_bits = list(cbits)
                     branch_bits[ins.cbit] = outcome
-                    pending.append(
-                        (pos, _project(state.copy(), ins.qubit, outcome), branch_bits, prob * p_out)
-                    )
+                    pending.append((
+                        pos, _project(branch_state, ins.qubit, outcome),
+                        branch_bits, branch_weight,
+                    ))
                 break
             apply_gate(state, ins, cbits)
         else:
-            key = cbit_key(cbits)
-            dist[key] = dist.get(key, 0.0) + prob
-    return dist
+            yield cbit_key(cbits), weight
 
 
 def normalize_counts(counts: Mapping[str, int]) -> dict[str, float]:

@@ -88,9 +88,17 @@ class KnapsackInstance:
             raise ValueError(f"max_capacity must be finite, got {self.max_capacity!r}")
         # Every profit and load sum the engine forms is bounded by one of
         # these totals, so sums stay finite and flip scores are never NaN.
+        # A selection's excess load is at most total weights minus
+        # max_capacity, so the last bound holds every value and flip score.
+        profit = _fsum(map(abs, self.profits))
+        weight = _fsum(self.weights)
         totals = (
-            ("total |profits|", _fsum(map(abs, self.profits))),
-            ("total weights plus |max_capacity|", _fsum(self.weights) + abs(self.max_capacity)),
+            ("total |profits|", profit),
+            ("total weights plus |max_capacity|", weight + abs(self.max_capacity)),
+            (
+                "total |profits| * (1 + max(0, total weights - max_capacity))",
+                profit * (1.0 + max(0.0, weight - self.max_capacity)),
+            ),
         )
         for name, total in totals:
             if not math.isfinite(total):

@@ -302,6 +302,7 @@ def test_exit_code_parse_error_bad_instance(tmp_path, capsys):
         ("2 3\n5 1\n4 -2\n", "weights[1] must be >= 0, got -2.0"),
         ("3 0\n1e308 1\n1e308 1\n1 1\n", "total |profits| must be finite, got inf"),
         ("2 -1.7e308\n1 1.7e308\n1 1\n", "total weights plus |max_capacity| must be finite"),
+        ("1 0\n1e200 1e200\n", "total |profits| * (1 + max(0, total weights - max_capacity)) must be finite"),
     ],
 )
 def test_exit_code_rejected_instance_values(tmp_path, capsys, text, message):

@@ -78,6 +78,14 @@ def test_derive_knapsack_teleport_profits():
     assert inst.max_capacity == 4.0
 
 
+def test_derive_knapsack_one_edge_profits():
+    """A repeated pair counts once per gate, in both orientations, and an
+    edge past the circuit's qubits supports nothing."""
+    circuit = parse("qreg q[2];\ncreg c[0];\ncx q[0],q[1];\ncx q[0],q[1];\ncx q[1],q[0];\n")
+    inst = derive_knapsack(MapSearchProblem(circuit, ((0, 1), (1, 0), (3, 4))))
+    assert inst.profits == (2.5, 2.0, 0.0)
+
+
 def test_derive_knapsack_rejects_oversized_candidate_sets():
     circuit = load_teleport()
     candidates = all_directed_pairs(6)[:21]

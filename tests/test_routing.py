@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     assert_routed_equivalent,
@@ -168,6 +170,24 @@ def test_routed_cx_always_on_edges_random():
             if isinstance(ins, GateOp) and ins.kind is Gate.CX
         )
         assert direct + reversed_ + unsupported == total_cx
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_routing_equivalence_on_random_connected_maps(data):
+    """Any program fits any connected map of at least its width: 2-6
+    physical qubits, programs of 1 qubit up to the map's width."""
+    n_physical = data.draw(st.integers(2, 6), label="n_physical")
+    n_qubits = data.draw(st.integers(1, n_physical), label="n_qubits")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cmap = random_connected_map(rng, n_physical)
+    program = random_gate_program(rng, n_qubits)
+    routed, report = route(program, cmap)
+    edge_set = set(cmap.edges)
+    for ins in routed.instructions:
+        if isinstance(ins, GateOp) and ins.kind is Gate.CX:
+            assert (ins.control, ins.target) in edge_set
+    assert_routed_equivalent(program, routed, report.final_layout)
 
 
 def test_direct_support_count_reference_maps():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import gate_matrix, programs
+from qtabu.mapsearch import load_teleport
 from qtabu.qasm import Program
 from qtabu.statevector import (
     SHOT_BLOCK,
@@ -290,6 +291,7 @@ def test_shot_counts_crosses_the_block_boundary(measures):
         ([GateOp(Gate.H, 0), MeasureOp(0, 2)], "classical bit 2 out of range"),
         ([GateOp(Gate.H, 0), MeasureOp(1, 0)], "measured qubit 1 out of range"),
         ([MeasureOp(0, 0), GateOp(Gate.X, 0, condition=(3, 1))], "classical bit 3 out of range"),
+        ([GateOp(Gate.H, 0), MeasureOp(0, -1)], "classical bit -1 out of range"),
     ],
 )
 def test_shot_counts_raises_what_run_program_raises(instructions, error):
@@ -298,6 +300,8 @@ def test_shot_counts_raises_what_run_program_raises(instructions, error):
         run_program(program, np.random.default_rng(0))
     with pytest.raises(IndexError, match=error):
         shot_counts(program, 10, np.random.default_rng(0))
+    with pytest.raises(IndexError, match=error):
+        branch_probabilities(program)
 
 
 def test_shot_counts_rejects_no_shots():
@@ -311,6 +315,29 @@ def test_branch_probabilities_single_h():
     dist = branch_probabilities(program)
     assert dist.keys() == {"0", "1"}
     np.testing.assert_allclose([dist["0"], dist["1"]], [0.5, 0.5], atol=1e-12)
+
+
+def test_branch_probabilities_copies_one_state_per_extra_branch(monkeypatch):
+    """Teleport measures twice into four equally likely paths and then
+    measures a settled qubit: the walk copies a state for 1 + 2 branches,
+    each last branch taking its parent's state. The distribution, in order
+    and to the last bit, is the one a copy per branch (10 copies) gave."""
+    copies = []
+    copy = StateVector.copy
+
+    def counted(self):
+        copies.append(None)
+        return copy(self)
+
+    monkeypatch.setattr(StateVector, "copy", counted)
+    dist = branch_probabilities(load_teleport())
+    assert len(copies) == 3
+    assert list(dist.items()) == [
+        ("011", 0.25000000000000006),
+        ("001", 0.25000000000000017),
+        ("010", 0.24999999999999983),
+        ("000", 0.24999999999999994),
+    ]
 
 
 def test_branch_probabilities_condition_chain():

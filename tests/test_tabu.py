@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import deque
 
 import numpy as np
@@ -48,6 +49,10 @@ def test_instance_rejects_totals_beyond_the_float_range():
         KnapsackInstance((1.0, 1.0), (big, big), 0.0)
     with pytest.raises(ValueError, match=r"total weights plus \|max_capacity\| must be finite"):
         KnapsackInstance((1.0,), (big,), -big)
+    # Finite totals whose product overflows: a full load scores 1e200 * (1 - 1e200).
+    bound = "total |profits| * (1 + max(0, total weights - max_capacity))"
+    with pytest.raises(ValueError, match=re.escape(f"{bound} must be finite, got inf")):
+        KnapsackInstance((1e200,), (1e200,), 0.0)
     # Totals just inside the range are accepted and run without overflow.
     instance = KnapsackInstance((big / 2, big / 2), (big / 4, big / 4), big / 2)
     result = qts_run(instance, SearchConfig(max_iterations=20, seed=0))
