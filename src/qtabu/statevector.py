@@ -244,6 +244,7 @@ def shot_counts(program, shots: int, rng: np.random.Generator) -> dict[str, int]
     block = max(1, SHOT_BLOCK // max(1, n_measures))
 
     def split(state: StateVector, qubit: int, weight: tuple[np.ndarray, int]):
+        # Reads the block of ``draws`` being walked.
         rows, column = weight
         ones = draws[rows, column] < _p_one(state, qubit)
         parts = ((0, rows[~ones]), (1, rows[ones]))
