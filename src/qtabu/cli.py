@@ -81,7 +81,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (echoed to stderr)")
+        p.add_argument(
+            "--seed", type=_nonnegative_int, default=None, help="RNG seed (echoed to stderr)"
+        )
         p.add_argument("--out", default=None, help="write primary output to this file")
 
     def engine(p: _Parser) -> None:

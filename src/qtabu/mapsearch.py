@@ -51,17 +51,13 @@ class MapSearchProblem:
     edge_budget: int = DEFAULT_EDGE_BUDGET
 
     def __post_init__(self) -> None:
-        seen: set[tuple[int, int]] = set()
-        for a, b in self.candidate_edges:
-            if a == b:
-                raise ValueError(f"candidate edge ({a}, {b}) is a self-loop")
-            if a < 0 or b < 0:
-                raise ValueError(f"candidate edge ({a}, {b}) has a negative endpoint")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate candidate edge ({a}, {b})")
-            seen.add((a, b))
         if not self.candidate_edges:
             raise ValueError("need at least one candidate edge")
+        for a, b in self.candidate_edges:
+            if a < 0 or b < 0:
+                raise ValueError(f"candidate edge ({a}, {b}) has a negative endpoint")
+        # CouplingMap rejects self-loops and duplicates.
+        CouplingMap(1 + max(map(max, self.candidate_edges)), self.candidate_edges)
         if self.edge_budget < 0:
             raise ValueError("edge_budget must be >= 0")
 

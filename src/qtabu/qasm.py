@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .statevector import Gate, GateOp, MeasureOp
 
@@ -50,11 +51,9 @@ class QasmParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
-    line: int
-    column: int
+    offset: int
 
 
 _TOKEN_RE = re.compile(
@@ -65,36 +64,26 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(source: str) -> tuple[list[_Token], tuple[int, int]]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN_RE.finditer(source):
-        column = match.start() - line_start + 1
-        if match.lastgroup == "bad":
-            raise QasmParseError(line, column, "syntax", f"unexpected character {match.group()!r}")
-        if match.lastgroup == "tok":
-            tokens.append(_Token(match.group(), line, column))
-        newlines = match.group().count("\n")
-        if newlines:
-            line += newlines
-            line_start = match.start() + match.group().rindex("\n") + 1
-    end = (line, len(source) - line_start + 1)
-    return tokens, end
-
-
 class _Parser:
     def __init__(self, source: str) -> None:
-        self.tokens, self.end = _tokenize(source)
+        self.source = source
+        self.tokens: list[_Token] = []
+        for match in _TOKEN_RE.finditer(source):
+            if match.lastgroup == "tok":
+                self.tokens.append(_Token(match.group(), match.start()))
+            elif match.lastgroup == "bad":
+                bad = _Token(match.group(), match.start())
+                raise self.error("syntax", f"unexpected character {bad.text!r}", bad)
         self.pos = 0
         self.n_qubits: int | None = None
         self.n_cbits: int | None = None
         self.instructions: list[GateOp | MeasureOp] = []
 
     def error(self, kind: str, message: str, token: _Token | None = None) -> QasmParseError:
-        if token is None:
-            line, column = self.end
-        else:
-            line, column = token.line, token.column
+        """An error at ``token``, or at the end of the source without one."""
+        offset = len(self.source) if token is None else token.offset
+        line = self.source.count("\n", 0, offset) + 1
+        column = offset - self.source.rfind("\n", 0, offset)
         return QasmParseError(line, column, kind, message)
 
     def next(self) -> _Token:
@@ -152,7 +141,7 @@ class _Parser:
             self.instructions.append(MeasureOp(qubit, cbit))
         elif text == "if":
             self.conditioned()
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text):
+        elif text.isidentifier():
             raise self.error("unknown-gate", f"unknown gate {text!r}", token)
         else:
             raise self.error("syntax", f"unexpected token {text!r}", token)
@@ -190,7 +179,7 @@ class _Parser:
             raise self.error(
                 "syntax", f"only x and z may be conditioned, got {gate_token.text!r}", gate_token
             )
-        elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", gate_token.text):
+        elif gate_token.text.isidentifier():
             raise self.error("unknown-gate", f"unknown gate {gate_token.text!r}", gate_token)
         else:
             raise self.error("syntax", f"expected a gate, got {gate_token.text!r}", gate_token)

@@ -95,10 +95,10 @@ def parse_coupling_map(text: str) -> CouplingMap:
 
 
 def _undirected_adjacency(cmap: CouplingMap) -> dict[int, list[int]]:
-    adjacency: dict[int, set[int]] = {q: set() for q in range(cmap.n_physical)}
+    adjacency: dict[int, set[int]] = {}
     for a, b in cmap.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
     return {q: sorted(nbrs) for q, nbrs in adjacency.items()}
 
 
@@ -113,7 +113,7 @@ def _shortest_path(adjacency: dict[int, list[int]], src: int, dst: int) -> list[
     queue = deque([dst])
     while queue:
         node = queue.popleft()
-        for nbr in adjacency[node]:
+        for nbr in adjacency.get(node, ()):
             if nbr not in dist:
                 dist[nbr] = dist[node] + 1
                 queue.append(nbr)
@@ -136,9 +136,9 @@ class _Router:
         self.reversed = 0
         self.swaps = 0
         # Logical wire i starts on physical qubit i; remaining physical
-        # qubits are idle ancillas.
+        # qubits are idle ancillas, missing from ``p2l`` or mapped to -1.
         self.l2p = list(range(program.n_qubits))
-        self.p2l = [i if i < program.n_qubits else -1 for i in range(cmap.n_physical)]
+        self.p2l = {i: i for i in range(program.n_qubits)}
 
     def emit_cx(self, control: int, target: int, condition: tuple[int, int] | None) -> str:
         """Emit a cx between adjacent physical qubits, reversing if needed."""
@@ -158,7 +158,7 @@ class _Router:
         self.emit_cx(b, a, None)
         self.emit_cx(a, b, None)
         self.swaps += 1
-        la, lb = self.p2l[a], self.p2l[b]
+        la, lb = self.p2l.get(a, -1), self.p2l.get(b, -1)
         self.p2l[a], self.p2l[b] = lb, la
         if la != -1:
             self.l2p[la] = b

@@ -95,12 +95,19 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _select(n_qubits: int, bits: dict[int, int]) -> tuple[slice | int, ...]:
-    """Index tuple fixing the given qubits in the reshape([2]*n) view."""
-    index: list[slice | int] = [slice(None)] * n_qubits
-    for qubit, value in bits.items():
-        index[n_qubits - 1 - qubit] = value
-    return tuple(index)
+def _halves(state: StateVector, qubit: int, control: int | None = None):
+    """Views of the amplitudes with ``qubit`` at 0 and at 1, inside ``control`` = 1.
+
+    The trailing ``...`` keeps a fully fixed index a 0-d view, not a scalar copy."""
+    n = state.n_qubits
+    view = state.amplitudes.reshape([2] * n)
+    index: list[slice | int] = [slice(None)] * n
+    if control is not None:
+        index[n - 1 - control] = 1
+    index[n - 1 - qubit] = 0
+    zero = view[(*index, ...)]
+    index[n - 1 - qubit] = 1
+    return zero, view[(*index, ...)]
 
 
 def _check_qubit(state: StateVector, qubit: int, role: str) -> None:
@@ -114,7 +121,6 @@ def apply_gate(state: StateVector, op: GateOp, classical_bits: Sequence[int] = (
     Conditioned gates consult ``classical_bits`` and become a no-op when the
     condition does not hold.
     """
-    n = state.n_qubits
     _check_qubit(state, op.target, "target")
     if op.control is not None:
         _check_qubit(state, op.control, "control")
@@ -125,29 +131,18 @@ def apply_gate(state: StateVector, op: GateOp, classical_bits: Sequence[int] = (
         if classical_bits[cbit] != wanted:
             return state
 
-    view = state.amplitudes.reshape([2] * n)
-    if op.kind is Gate.X:
-        lo = _select(n, {op.target: 0})
-        hi = _select(n, {op.target: 1})
-        tmp = view[lo].copy()
-        view[lo] = view[hi]
-        view[hi] = tmp
-    elif op.kind is Gate.Z:
-        view[_select(n, {op.target: 1})] *= -1.0
+    if op.kind is Gate.Z:
+        _, one = _halves(state, op.target)
+        one *= -1.0
     elif op.kind is Gate.H:
-        lo = _select(n, {op.target: 0})
-        hi = _select(n, {op.target: 1})
-        a0 = view[lo].copy()
-        a1 = view[hi]
-        view[lo] = (a0 + a1) * _SQRT2_INV
-        view[hi] = (a0 - a1) * _SQRT2_INV
+        zero, one = _halves(state, op.target)
+        zero[...], one[...] = (zero + one) * _SQRT2_INV, (zero - one) * _SQRT2_INV
     else:
-        assert op.control is not None
-        lo = _select(n, {op.control: 1, op.target: 0})
-        hi = _select(n, {op.control: 1, op.target: 1})
-        tmp = view[lo].copy()
-        view[lo] = view[hi]
-        view[hi] = tmp
+        # X and CX swap the target's halves (inside control = 1 for CX).
+        zero, one = _halves(state, op.target, op.control)
+        tmp = zero.copy()
+        zero[...] = one
+        one[...] = tmp
     return state
 
 
@@ -166,16 +161,12 @@ def measure(state: StateVector, qubit: int, rng: np.random.Generator) -> tuple[i
 def _p_one(state: StateVector, qubit: int) -> float:
     """Born probability that measuring ``qubit`` gives 1."""
     _check_qubit(state, qubit, "measured")
-    n = state.n_qubits
-    view = state.amplitudes.reshape([2] * n)
-    return float(np.sum(np.abs(view[_select(n, {qubit: 1})]) ** 2))
+    return float(np.sum(np.abs(_halves(state, qubit)[1]) ** 2))
 
 
 def _project(state: StateVector, qubit: int, outcome: int) -> StateVector:
     """Collapse ``qubit`` onto ``outcome`` in place and return the state."""
-    n = state.n_qubits
-    view = state.amplitudes.reshape([2] * n)
-    view[_select(n, {qubit: 1 - outcome})] = 0.0
+    _halves(state, qubit)[1 - outcome][...] = 0.0
     # Renormalize by the actual remaining norm so repeated measurement does
     # not accumulate drift.
     state.amplitudes /= np.linalg.norm(state.amplitudes)

@@ -44,6 +44,32 @@ def gate_matrix(op: GateOp, n_qubits: int) -> np.ndarray:
     return embed_1q(single, op.target, n_qubits)
 
 
+def apply_gate_by_index(amplitudes: np.ndarray, op: GateOp) -> np.ndarray:
+    """``op`` applied to a copy of ``amplitudes`` through basis-index bit masks.
+
+    Each pair of amplitudes the gate mixes is found by its index: ``lo`` has
+    the target bit clear (and, for cx, the control bit set) and ``hi`` is
+    ``lo`` with the target bit set. The per-element arithmetic (``* -1.0``
+    for z, ``(a0 +/- a1) * 2.0 ** -0.5`` for h) is the package's, so the
+    result can be compared bit for bit.
+    """
+    index = np.arange(amplitudes.size)
+    lo = index[(index >> op.target) & 1 == 0]
+    if op.control is not None:
+        lo = lo[(lo >> op.control) & 1 == 1]
+    hi = lo | (1 << op.target)
+    a0, a1 = amplitudes[lo], amplitudes[hi]
+    out = amplitudes.copy()
+    if op.kind is Gate.Z:
+        out[hi] = a1 * -1.0
+    elif op.kind is Gate.H:
+        out[lo] = (a0 + a1) * 2.0 ** -0.5
+        out[hi] = (a0 - a1) * 2.0 ** -0.5
+    else:
+        out[lo], out[hi] = a1, a0
+    return out
+
+
 def program_unitary(program: Program) -> np.ndarray:
     """Full unitary of a measurement-free, condition-free program."""
     unitary = np.eye(2**program.n_qubits, dtype=complex)

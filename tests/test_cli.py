@@ -391,3 +391,12 @@ def test_seed_echo_format(tmp_path, capsys, flag):
     code, _, err = run_cli(capsys, ["simulate", circuit, flag, "123", "--shots", "1"])
     assert code == 0
     assert err.splitlines()[0] == "seed=123"
+
+
+@pytest.mark.parametrize("command", ["simulate", "route", "qts", "search-map", "bench-teleport"])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    positional = [] if command == "bench-teleport" else ["input.txt"]
+    code, out, err = run_cli(capsys, [command, *positional, "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: argument --seed: must be >= 0, got -1\n"

@@ -108,6 +108,23 @@ def test_conditioned_unknown_gate():
     assert _error("qreg q[1]; creg c[1]; if(c[0]==1) y q[0];").kind == "unknown-gate"
 
 
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("qreg q[1]; // note\n  $ creg c[0];", (2, 3, "syntax")),
+        ("qreg q[1];\n\tfoo q[0];", (2, 2, "unknown-gate")),
+        ("qreg q[1]; creg c[0]; x q[0]\n\n\n", (4, 1, "syntax")),
+        ("qreg q[1]; creg c[0]; x q[0] // done", (1, 37, "syntax")),
+        ("y q[0];", (1, 1, "unknown-gate")),
+    ],
+    ids=["after-comment-line", "after-tab", "end-after-blank-lines",
+         "end-after-final-comment", "first-column"],
+)
+def test_error_line_column_and_kind(source, position):
+    err = _error(source)
+    assert (err.line, err.column, err.kind) == position
+
+
 def test_error_positions_inside_source():
     for source in ("qreg q[1]; creg c[0]; x q[9];", "qreg q[1]", "qreg q[1]; creg c[0]; x"):
         err = _error(source)

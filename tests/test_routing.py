@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,22 @@ def test_route_errors():
         route(program, CouplingMap(2, ((0, 1),)))
     with pytest.raises(RoutingError, match="no path"):
         route(program, CouplingMap(4, ((0, 1), (2, 3))))
+    with pytest.raises(RoutingError, match="no path"):  # qubit 2 is on no edge
+        route(program, CouplingMap(3, ((0, 1),)))
+
+
+def test_route_memory_follows_the_edges_not_the_highest_endpoint():
+    cmap = parse_coupling_map("[[1, 2], [0, 1], [2, 100000]]")
+    program = load_teleport()
+    tracemalloc.start()
+    try:
+        routed, report = route(program, cmap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert routed.n_qubits == 100_001
+    assert (report.direct_count, report.swap_count) == (2, 0)
 
 
 def test_route_without_cx_needs_no_connectivity():

@@ -101,6 +101,21 @@ def test_gates_match_kron_matrices():
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
 
+def test_gates_match_the_index_arithmetic_oracle_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps.real[0] = -0.0
+        amps.imag[-1] = -0.0
+        ops = [GateOp(kind, t) for kind in (Gate.X, Gate.Z, Gate.H) for t in range(n)]
+        ops += [GateOp(Gate.CX, t, control=c) for c in range(n) for t in range(n) if c != t]
+        for op in ops:
+            state = StateVector(n, amps.copy())
+            apply_gate(state, op)
+            expected = oracles.apply_gate_by_index(amps, op)
+            assert state.amplitudes.tobytes() == expected.tobytes(), op
+
+
 def test_gates_are_involutions():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
