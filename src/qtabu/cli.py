@@ -22,6 +22,7 @@ import numpy as np
 
 from .mapsearch import (
     DEFAULT_EDGE_BUDGET,
+    MAX_CANDIDATE_EDGES,
     MapSearchProblem,
     all_directed_pairs,
     load_teleport,
@@ -251,12 +252,14 @@ def cmd_search_map(args: argparse.Namespace) -> int:
         candidates = parse_coupling_map(_read(args.candidates)).edges
     else:
         n_physical = args.physical if args.physical is not None else program.n_qubits
-        candidates = all_directed_pairs(n_physical)
-        if len(candidates) > MAX_QUBITS:
+        # Checked before the pairs are built, so a huge count costs nothing.
+        if n_physical * (n_physical - 1) > MAX_CANDIDATE_EDGES:
             raise _UsageError(
-                f"{n_physical} physical qubits give {len(candidates)} candidate edges "
-                f"(limit {MAX_QUBITS}); pass --candidates with an explicit pair list"
+                f"{n_physical} physical qubits give {n_physical * (n_physical - 1)} "
+                f"candidate edges (limit {MAX_CANDIDATE_EDGES}); pass --candidates "
+                f"with an explicit pair list"
             )
+        candidates = all_directed_pairs(n_physical)
     problem = MapSearchProblem(program, candidates, args.budget)
     # Every run finishes before any output, so an engine error writes nothing.
     rows = []

@@ -9,22 +9,41 @@ edge alone, which counts
     0.5 for every circuit cx it supports in reverse (four added h gates).
 
 The tabu engine then maximizes total profit within the edge budget.
+
+Only edges with positive profit go to the engine. The fitness is profit
+times ``1 - max(0, load - capacity)``, a factor that falls as the load
+rises. Profits here are sums of 1.0 and 0.5, so none is negative, and
+weights are 1.0. Adding a zero-profit edge to a selection therefore keeps
+its profit and raises its load, so its fitness stays or falls, and
+dropping every zero-profit edge keeps the optimum. This needs every profit
+to be >= 0: under a negative total profit a heavier selection would score
+higher. The selection is mapped back with 0 on every dropped edge.
+Profits and weights are exact dyadic numbers, so that selection's
+``fitness`` over all candidates equals the run's best evaluation bit for
+bit.
+
+The engine's 20-item limit counts profit-bearing edges only: teleport
+gives 4 of them at any number of physical qubits. ``MAX_CANDIDATE_EDGES``
+bounds the candidate list itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Sequence
 
 from .qasm import Program, parse
 from .routing import CouplingMap, RoutingError, RoutingReport, direct_support_count, route
 from .statevector import MAX_QUBITS
-from .tabu import KnapsackInstance, SearchConfig, SearchResult, qts_run
+from .tabu import KnapsackInstance, SearchConfig, SearchResult, check_config, fitness, qts_run
 
 DIRECT_EDGE_PROFIT = 1.0
 REVERSED_EDGE_PROFIT = 0.5
 DEFAULT_EDGE_BUDGET = 6
+# All directed pairs of 64 qubits (4,032) fit; deriving their profits for
+# teleport takes some 35 ms.
+MAX_CANDIDATE_EDGES = 4096
 
 # Two bundled five-qubit layouts used by the teleport bench and as handy
 # non-trivial fixtures. Both support the teleport circuit's cx gates
@@ -53,6 +72,11 @@ class MapSearchProblem:
     def __post_init__(self) -> None:
         if not self.candidate_edges:
             raise ValueError("need at least one candidate edge")
+        if len(self.candidate_edges) > MAX_CANDIDATE_EDGES:
+            raise ValueError(
+                f"{len(self.candidate_edges)} candidate edges exceed the limit of "
+                f"{MAX_CANDIDATE_EDGES}"
+            )
         for a, b in self.candidate_edges:
             if a < 0 or b < 0:
                 raise ValueError(f"candidate edge ({a}, {b}) has a negative endpoint")
@@ -71,11 +95,6 @@ def all_directed_pairs(n_physical: int) -> tuple[tuple[int, int], ...]:
 
 def derive_knapsack(problem: MapSearchProblem) -> KnapsackInstance:
     """Translate edge selection into a knapsack instance (one item per edge)."""
-    if len(problem.candidate_edges) > MAX_QUBITS:
-        raise ValueError(
-            f"{len(problem.candidate_edges)} candidate edges exceed the "
-            f"{MAX_QUBITS}-item population limit"
-        )
     profits = tuple(
         support_score(problem.circuit, CouplingMap(1 + max(edge), (edge,)))
         for edge in problem.candidate_edges
@@ -124,13 +143,43 @@ class ScoredMap:
 def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = None) -> ScoredMap:
     """Run the tabu engine over edge selections and score the winner.
 
-    The reported score is the run's best knapsack fitness, which is bit for
-    bit ``fitness`` of the returned selection. Routing the circuit on the
-    winning map can fail (for example with a budget of zero); the report is
-    then None.
+    The engine sees only the profit-bearing edges (module docstring); the
+    result's ``best_solution`` has one bit per candidate, 0 on every other
+    edge, and its trace and counters are the run's. With no profit-bearing
+    edge the empty selection is optimal and no search runs. The reported
+    score is bit for bit ``fitness`` of the returned selection over
+    ``derive_knapsack(problem)``. Routing the circuit on the winning map can
+    fail (for example with a budget of zero); the report is then None.
     """
     instance = derive_knapsack(problem)
-    result = qts_run(instance, config)
+    kept = [k for k, profit in enumerate(instance.profits) if profit > 0.0]
+    if len(kept) > MAX_QUBITS:
+        raise ValueError(
+            f"{len(kept)} profit-bearing candidate edges exceed the "
+            f"{MAX_QUBITS}-item population limit"
+        )
+    bits = [0] * instance.n_items
+    if kept:
+        result = qts_run(
+            KnapsackInstance(
+                tuple(instance.profits[k] for k in kept),
+                tuple(instance.weights[k] for k in kept),
+                instance.max_capacity,
+            ),
+            config,
+        )
+        for k, bit in zip(kept, result.best_solution):
+            bits[k] = bit
+        result = replace(result, best_solution=tuple(bits))
+    else:
+        check_config(config or SearchConfig(), 0)
+        result = SearchResult(
+            best_solution=tuple(bits),
+            best_evaluation=fitness(instance, bits),
+            best_iteration=0,
+            iterations_run=0,
+            trace=[],
+        )
     cmap = decode(result.best_solution, problem)
     try:
         _, report = route(problem.circuit, cmap)

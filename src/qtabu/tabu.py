@@ -389,6 +389,28 @@ def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
     return state
 
 
+def check_config(config: SearchConfig, n_items: int) -> int:
+    """The tabu tenure a run over ``n_items`` items uses under ``config``.
+
+    Raises ``ValueError`` for every setting ``qts_run`` rejects, so a caller
+    that skips the run still rejects what the run would.
+    """
+    if config.max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if config.stagnation_limit < 1:
+        raise ValueError("stagnation_limit must be >= 1")
+    tenure = config.tabu_tenure if config.tabu_tenure is not None else max(2, n_items // 4)
+    if tenure < 1:
+        raise ValueError("tabu_tenure must be >= 1")
+    if tenure >= config.max_iterations:
+        raise ValueError(
+            f"tabu_tenure {tenure} must be smaller than max_iterations {config.max_iterations}"
+        )
+    if config.population_mode not in _MODES:
+        raise ValueError(f"unknown population mode {config.population_mode!r}")
+    return tenure
+
+
 def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> SearchResult:
     """Run the full search loop and return the best selection found.
 
@@ -398,17 +420,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     if config is None:
         config = SearchConfig()
     n = instance.n_items
-    if config.max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    if config.stagnation_limit < 1:
-        raise ValueError("stagnation_limit must be >= 1")
-    tenure = config.tabu_tenure if config.tabu_tenure is not None else max(2, n // 4)
-    if tenure < 1:
-        raise ValueError("tabu_tenure must be >= 1")
-    if tenure >= config.max_iterations:
-        raise ValueError(
-            f"tabu_tenure {tenure} must be smaller than max_iterations {config.max_iterations}"
-        )
+    tenure = check_config(config, n)
     rng = np.random.default_rng(config.seed)
     population = init_population(n, config.population_mode)
     current = sample_candidate(population, rng)

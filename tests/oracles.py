@@ -123,6 +123,21 @@ def brute_force_knapsack_max(
     return float(values.max())
 
 
+def edge_profits(program: Program, edges: tuple[tuple[int, int], ...]) -> list[float]:
+    """Each edge's map-search profit, counted straight from the cx list:
+    1.0 per cx from its first endpoint to its second, 0.5 per cx the other
+    way round."""
+    pairs = [
+        (ins.control, ins.target)
+        for ins in program.instructions
+        if isinstance(ins, GateOp) and ins.kind is Gate.CX
+    ]
+    return [
+        sum(1.0 for pair in pairs if pair == edge) + sum(0.5 for pair in pairs if pair == edge[::-1])
+        for edge in edges
+    ]
+
+
 def flip_scores(
     profits: tuple[float, ...], weights: tuple[float, ...], capacity: float, bits: tuple[int, ...]
 ) -> np.ndarray:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import time
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -10,6 +11,8 @@ import pytest
 
 from qtabu import statevector
 from qtabu.cli import main
+from qtabu.mapsearch import load_teleport
+from qtabu.routing import CouplingMap, route
 
 BELL_MEASURED = (
     "qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\n"
@@ -17,6 +20,10 @@ BELL_MEASURED = (
 )
 SINGLE_CX = "qreg q[2];\ncreg c[0];\ncx q[0],q[1];\n"
 TINY_INSTANCE = "1 1\n5 1\n"
+# cx on 11 distinct pairs: 22 directed edges carry profit.
+ELEVEN_CX = "qreg q[12];\ncreg c[0];\n" + "".join(
+    f"cx q[{k}],q[{k + 1}];\n" for k in range(11)
+)
 
 
 def run_cli(capsys, argv):
@@ -226,24 +233,70 @@ def test_search_map_candidate_file(tmp_path, capsys):
 
 def test_search_map_too_many_default_candidates(tmp_path, capsys):
     circuit = write(tmp_path, "cx.qasm", SINGLE_CX)
-    code, _, err = run_cli(
-        capsys, ["search-map", circuit, "--physical", "6", "--seed", "0"]
+    code, out, err = run_cli(
+        capsys, ["search-map", circuit, "--physical", "65", "--seed", "0"]
     )
+    assert (code, out) == (1, "")
+    assert "usage error: 65 physical qubits give 4160 candidate edges (limit 4096)" in err
+    # The count is checked before any pair is built.
+    tracemalloc.start()
+    try:
+        code = main(["search-map", circuit, "--physical", "100000", "--seed", "0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert code == 1
-    assert "limit 20" in err
+    assert "9999900000 candidate edges (limit 4096)" in capsys.readouterr().err
+    assert peak < 2**20
+    pairs = [[a, b] for a in range(65) for b in range(65) if a != b][:4097]
+    candidates = write(tmp_path, "c4097.json", json.dumps(pairs))
+    code, out, err = run_cli(
+        capsys, ["search-map", circuit, "--candidates", candidates, "--seed", "0"]
+    )
+    assert (code, out) == (2, "")
+    assert "parse error: 4097 candidate edges exceed the limit of 4096" in err
 
 
 def test_search_map_engine_error_writes_no_output(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    write(tmp_path, "cx.qasm", SINGLE_CX)
-    pairs = [[a, b] for a in range(5) for b in range(5) if a != b] + [[0, 5]]
-    write(tmp_path, "c21.json", json.dumps(pairs))
-    argv = ["search-map", "cx.qasm", "--candidates", "c21.json", "--out", "o.csv", "--seed", "0"]
+    write(tmp_path, "cx.qasm", ELEVEN_CX)
+    argv = ["search-map", "cx.qasm", "--physical", "12", "--out", "o.csv", "--seed", "0"]
     code, out, err = run_cli(capsys, argv)
     assert code == 2
-    assert "engine error: 21 candidate edges exceed" in err
+    assert (
+        "engine error: 22 profit-bearing candidate edges exceed the 20-item population limit"
+        in err
+    )
     assert out == ""
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_search_map_without_profit(tmp_path, capsys):
+    circuit = write(tmp_path, "h.qasm", "qreg q[2];\ncreg c[0];\nh q[0];\n")
+    code, out, _ = run_cli(capsys, ["search-map", circuit, "--seed", "3"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,3,0.0,0,0", "[]", "score=0.0"]
+    argv = ["search-map", circuit, "--tenure", "600", "--max-iter", "500", "--seed", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "engine error: tabu_tenure 600 must be smaller than max_iterations 500" in err
+
+
+def test_search_map_device_scale_gate(capsys):
+    """Teleport on the 16-qubit device (240 candidate pairs), seeds 0-9:
+    the map fits the budget and serves both cx directly, without swaps."""
+    teleport = str(resources.files("qtabu").joinpath("assets", "teleport.qasm"))
+    argv = ["search-map", teleport, "--physical", "16", "--budget", "6", "--runs", "10", "--seed", "0"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert [row.split(",")[1:3] for row in lines[1:11]] == [[str(s), "3.0"] for s in range(10)]
+    edges = [tuple(edge) for edge in json.loads(lines[11])]
+    assert len(edges) <= 6
+    assert {(0, 1), (1, 2)} <= set(edges)
+    cmap = CouplingMap(1 + max(map(max, edges)), tuple(edges))
+    _, report = route(load_teleport(), cmap)
+    assert (report.direct_count, report.swap_count) == (2, 0)
 
 
 def test_bench_teleport_output_shape(capsys):

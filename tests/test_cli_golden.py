@@ -3,9 +3,10 @@
 Each case runs one subcommand through ``cli.main`` and hashes its exit
 code, stdout and stderr, so every count, every ``repr``-rendered float and
 every summary line is part of the digest. The digests were recorded from
-the simulator that ran every shot on all routed physical qubits; a
-deliberate change to seeded output re-records them and says so in
-CHANGES.md.
+the simulator that ran every shot on all routed physical qubits, and the
+``search-map`` digest from a search over the profit-bearing candidate
+edges alone; a deliberate change to seeded output re-records them and says
+so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ CASES = {
     ),
     "search-map": (
         ["search-map", TELEPORT, "--physical", "4", "--runs", "3", "--seed", "6"],
-        "1bb220abf4dc8073b1818361b1f4c3a9fedefbbd747872aea363e754ca496cc5",
+        "49dd1d8cd059c313a30f4cc72fff5baca261cff79e624f2de3da714f12da28c0",
     ),
     "bench-teleport": (
         ["bench-teleport", "--shots", "512", "--seed", "7"],

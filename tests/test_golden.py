@@ -4,9 +4,10 @@ Each test hashes ``(best_solution, best_evaluation, best_iteration, trace)``
 of a fixed set of seeded runs, rendered with ``repr``, so every digit of
 every float and the type of every bit is part of the digest. The digests
 were recorded from the dense 2^n-amplitude population, the 16- and
-20-item digest from the factored one with numpy flip scores; any change in
-sampling order, move selection or fitness arithmetic changes them. A
-deliberate change to seeded output re-records them and says so in
+20-item digest from the factored one with numpy flip scores, and the map
+search digest from runs over the profit-bearing candidate edges alone;
+any change in sampling order, move selection or fitness arithmetic changes
+them. A deliberate change to seeded output re-records them and says so in
 CHANGES.md.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from qtabu.mapsearch import MapSearchProblem, all_directed_pairs, load_teleport, search_best_map
 from qtabu.tabu import KnapsackInstance, SearchConfig, qts_run
 
-MAP_SEARCH_DIGEST = "e573edd168478f872749e54489e6fd9f0184ca2b4cf21075ae72e1ad51733efd"
+MAP_SEARCH_DIGEST = "d94924fcaf139c3ead8cfd9c0cfb26e7c849e3cf53303e2314157b78ecf1c0cb"
 KNAPSACK_DIGEST = "aa3be33f0fe405b72350a1237f249e0e0720e9d560f7ab3b7a35463c8237ce8e"
 WIDE_KNAPSACK_DIGEST = "5580514a58b0266533b62c175e76baf0057b75fc764c647d508b496ed01917cd"
 

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_knapsack_max
+from oracles import brute_force_knapsack_max, edge_profits, programs
 from qtabu.mapsearch import (
     DEFAULT_EDGE_BUDGET,
     DIRECT_EDGE_PROFIT,
+    MAX_CANDIDATE_EDGES,
     REVERSED_EDGE_PROFIT,
     MapSearchProblem,
     ScoredMap,
@@ -20,7 +25,13 @@ from qtabu.mapsearch import (
 )
 from qtabu.qasm import parse, serialize
 from qtabu.routing import CouplingMap
-from qtabu.tabu import SearchConfig, fitness
+from qtabu.tabu import KnapsackInstance, SearchConfig, fitness, qts_run
+
+# cx on 11 distinct pairs: 22 directed edges carry profit, past the
+# engine's 20-item limit.
+ELEVEN_CX = "qreg q[12];\ncreg c[0];\n" + "".join(
+    f"cx q[{k}],q[{k + 1}];\n" for k in range(11)
+)
 
 
 def test_load_teleport_shape():
@@ -58,6 +69,10 @@ def test_problem_validation():
         MapSearchProblem(circuit, ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="edge_budget"):
         MapSearchProblem(circuit, ((0, 1),), edge_budget=-1)
+    pairs = all_directed_pairs(65)
+    MapSearchProblem(circuit, pairs[:MAX_CANDIDATE_EDGES])
+    with pytest.raises(ValueError, match="4097 candidate edges exceed the limit of 4096"):
+        MapSearchProblem(circuit, pairs[: MAX_CANDIDATE_EDGES + 1])
 
 
 def test_derive_knapsack_teleport_profits():
@@ -86,11 +101,22 @@ def test_derive_knapsack_one_edge_profits():
     assert inst.profits == (2.5, 2.0, 0.0)
 
 
-def test_derive_knapsack_rejects_oversized_candidate_sets():
-    circuit = load_teleport()
-    candidates = all_directed_pairs(6)[:21]
-    with pytest.raises(ValueError, match="20-item"):
-        derive_knapsack(MapSearchProblem(circuit, candidates))
+def test_search_best_map_limits_profit_bearing_edges_only():
+    circuit = parse(ELEVEN_CX)
+    problem = MapSearchProblem(circuit, all_directed_pairs(12))
+    instance = derive_knapsack(problem)
+    assert instance.n_items == 132
+    assert sum(profit > 0 for profit in instance.profits) == 22
+    with pytest.raises(
+        ValueError, match="22 profit-bearing candidate edges exceed the 20-item population limit"
+    ):
+        search_best_map(problem, SearchConfig(seed=0))
+    # Teleport over all 240 pairs of 16 qubits is a 4-item search.
+    result = search_best_map(
+        MapSearchProblem(load_teleport(), all_directed_pairs(16)), SearchConfig(seed=0)
+    )
+    assert len(result.search.best_solution) == 240
+    assert result.score == 3.0
 
 
 def test_decode_selects_in_candidate_order():
@@ -156,6 +182,87 @@ def test_search_best_map_unroutable_selection_reports_none():
     result = search_best_map(problem, SearchConfig(max_iterations=20, seed=1))
     assert result.score == 0.0
     assert result.routing is None
+
+
+def test_search_best_map_without_profit_runs_no_search():
+    # teleport's cx gates are 0->1 and 1->2; none of these edges serves one
+    problem = MapSearchProblem(load_teleport(), ((0, 2), (2, 0), (3, 4)))
+    result = search_best_map(problem, SearchConfig(seed=0))
+    assert repr(result.score) == "0.0"
+    assert result.map.edges == ()
+    assert result.search.best_solution == (0, 0, 0)
+    assert (result.search.iterations_run, result.search.best_iteration) == (0, 0)
+    assert result.search.trace == []
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(max_iterations=0),
+        SearchConfig(stagnation_limit=0),
+        SearchConfig(tabu_tenure=0),
+        SearchConfig(tabu_tenure=600, max_iterations=500),
+        SearchConfig(max_iterations=2),  # the derived tenure of 2 is too long
+        SearchConfig(population_mode="bogus"),  # type: ignore[arg-type]
+    ],
+)
+def test_search_best_map_without_profit_rejects_what_the_engine_rejects(config):
+    with pytest.raises(ValueError) as engine:
+        qts_run(KnapsackInstance((1.0,), (1.0,), 6.0), config)
+    problem = MapSearchProblem(load_teleport(), ((0, 2),))
+    with pytest.raises(ValueError) as search:
+        search_best_map(problem, config)
+    assert str(search.value) == str(engine.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+            st.floats(0.0, 50.0),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.floats(-50.0, 200.0),
+)
+def test_dropping_zero_profit_items_keeps_the_optimum(items, capacity):
+    profits, weights = zip(*items)
+    kept = [(p, w) for p, w in items if p > 0.0]
+    full = brute_force_knapsack_max(profits, weights, capacity)
+    pruned = brute_force_knapsack_max(
+        tuple(p for p, _ in kept), tuple(w for _, w in kept), capacity
+    )
+    assert full == pruned
+
+
+@st.composite
+def map_problems(draw) -> MapSearchProblem:
+    """A random circuit on at most 5 qubits and a random subset of the
+    directed pairs over its qubits and up to two more."""
+    circuit = draw(programs(max_qubits=5))
+    pairs = all_directed_pairs(max(2, circuit.n_qubits + draw(st.integers(0, 2))))
+    candidates = draw(
+        st.lists(st.sampled_from(pairs), min_size=1, max_size=20, unique=True)
+    )
+    return MapSearchProblem(circuit, tuple(candidates), draw(st.integers(0, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(map_problems(), st.integers(0, 2**32 - 1))
+def test_search_best_map_maps_the_pruned_run_back(problem, seed):
+    instance = derive_knapsack(problem)
+    assert list(instance.profits) == edge_profits(problem.circuit, problem.candidate_edges)
+    result = search_best_map(problem, SearchConfig(max_iterations=60, seed=seed))
+    bits = result.search.best_solution
+    assert len(bits) == len(problem.candidate_edges)
+    assert all(bit == 0 for bit, profit in zip(bits, instance.profits) if profit == 0.0)
+    as_bytes = struct.Struct("<d").pack
+    assert as_bytes(result.score) == as_bytes(fitness(instance, bits))
+    assert result.score <= brute_force_knapsack_max(
+        instance.profits, instance.weights, instance.max_capacity
+    )
 
 
 def test_search_best_map_is_deterministic():
