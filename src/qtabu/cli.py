@@ -253,11 +253,11 @@ def cmd_search_map(args: argparse.Namespace) -> int:
     else:
         n_physical = args.physical if args.physical is not None else program.n_qubits
         # Checked before the pairs are built, so a huge count costs nothing.
-        if n_physical * (n_physical - 1) > MAX_CANDIDATE_EDGES:
+        n_pairs = n_physical * (n_physical - 1)
+        if n_pairs > MAX_CANDIDATE_EDGES:
             raise _UsageError(
-                f"{n_physical} physical qubits give {n_physical * (n_physical - 1)} "
-                f"candidate edges (limit {MAX_CANDIDATE_EDGES}); pass --candidates "
-                f"with an explicit pair list"
+                f"{n_physical} physical qubits give {n_pairs} candidate edges "
+                f"(limit {MAX_CANDIDATE_EDGES}); pass --candidates with an explicit pair list"
             )
         candidates = all_directed_pairs(n_physical)
     problem = MapSearchProblem(program, candidates, args.budget)

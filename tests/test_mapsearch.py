@@ -111,12 +111,6 @@ def test_search_best_map_limits_profit_bearing_edges_only():
         ValueError, match="22 profit-bearing candidate edges exceed the 20-item population limit"
     ):
         search_best_map(problem, SearchConfig(seed=0))
-    # Teleport over all 240 pairs of 16 qubits is a 4-item search.
-    result = search_best_map(
-        MapSearchProblem(load_teleport(), all_directed_pairs(16)), SearchConfig(seed=0)
-    )
-    assert len(result.search.best_solution) == 240
-    assert result.score == 3.0
 
 
 def test_decode_selects_in_candidate_order():
