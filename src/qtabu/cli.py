@@ -34,6 +34,7 @@ from .routing import MapFormatError, RoutingError, parse_coupling_map, route
 from .statevector import (
     MAX_QUBITS,
     MeasureOp,
+    bitstring,
     branch_probabilities,
     normalize_counts,
     run_program,
@@ -189,7 +190,7 @@ def _engine_errors():
     """Report a ``ValueError`` from the search engine as an engine error.
 
     Instance and map text is parsed before the engine runs, so a
-    ``ValueError`` here rejects settings or a problem size, not text.
+    ``ValueError`` here rejects settings, not text.
     """
     try:
         yield
@@ -200,20 +201,22 @@ def _engine_errors():
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     routed = _route_circuit(args)
+    # Qubits no instruction touches stay in |0> and change no outcome.
+    program, qubits = compact(routed)
+    if program.n_qubits > MAX_QUBITS:
+        raise _TooWideError(f"the circuit touches {program.n_qubits} qubits; "
+                            f"the simulator holds at most {MAX_QUBITS}")
     rng = np.random.default_rng(seed)
-    if any(isinstance(ins, MeasureOp) for ins in routed.instructions):
-        # Qubits no instruction touches stay in |0> and change no outcome.
-        counts = shot_counts(compact(routed), args.shots, rng)
+    if any(isinstance(ins, MeasureOp) for ins in program.instructions):
+        counts = shot_counts(program, args.shots, rng)
     else:
-        # Keys name every physical qubit, so the full routed state is sampled.
-        if routed.n_qubits > MAX_QUBITS:
-            raise _TooWideError(
-                f"the routed circuit spans {routed.n_qubits} physical qubits; without "
-                f"measurements every physical qubit is sampled, and the simulator "
-                f"holds at most {MAX_QUBITS}"
-            )
-        state, _ = run_program(routed, rng)
-        counts = sample_counts(state, args.shots, rng)
+        # Keys name every physical qubit: each sampled bit goes back to its
+        # own, and the untouched ones read 0.
+        state, _ = run_program(program, rng)
+        counts = {}
+        for key, count in sample_counts(state, args.shots, rng).items():
+            index = sum(int(bit) << qubit for bit, qubit in zip(reversed(key), qubits))
+            counts[bitstring(index, routed.n_qubits)] = count
     with _out_stream(args) as out:
         print("bitstring,count,probability", file=out)
         for key in sorted(counts):
@@ -295,7 +298,7 @@ def cmd_bench_teleport(args: argparse.Namespace) -> int:
     rows = []
     for label, cmap in layouts:
         routed, report = route(program, cmap)
-        compacted = compact(routed)
+        compacted, _ = compact(routed)
         dist = branch_probabilities(compacted)
         counts = shot_counts(compacted, args.shots, rng)
         exact[label] = dist

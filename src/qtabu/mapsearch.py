@@ -22,9 +22,9 @@ Profits and weights are exact dyadic numbers, so that selection's
 ``fitness`` over all candidates equals the run's best evaluation bit for
 bit.
 
-The engine's 20-item limit counts profit-bearing edges only: teleport
-gives 4 of them at any number of physical qubits. ``MAX_CANDIDATE_EDGES``
-bounds the candidate list itself.
+The engine holds any number of items, so the search is as wide as the
+circuit's profit-bearing edges (teleport gives 4 of them at any number of
+physical qubits); ``MAX_CANDIDATE_EDGES`` bounds the candidate list.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Sequence
 
 from .qasm import Program, parse
 from .routing import CouplingMap, RoutingError, RoutingReport, direct_support_count, route
-from .statevector import MAX_QUBITS
 from .tabu import KnapsackInstance, SearchConfig, SearchResult, check_config, fitness, qts_run
 
 DIRECT_EDGE_PROFIT = 1.0
@@ -153,11 +152,6 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
     """
     instance = derive_knapsack(problem)
     kept = [k for k, profit in enumerate(instance.profits) if profit > 0.0]
-    if len(kept) > MAX_QUBITS:
-        raise ValueError(
-            f"{len(kept)} profit-bearing candidate edges exceed the "
-            f"{MAX_QUBITS}-item population limit"
-        )
     bits = [0] * instance.n_items
     if kept:
         result = qts_run(

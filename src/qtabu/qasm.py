@@ -220,18 +220,21 @@ def _qubits(ins: GateOp | MeasureOp) -> tuple[int, ...]:
     return (ins.target,) if ins.control is None else (ins.control, ins.target)
 
 
-def compact(program: Program) -> Program:
+def compact(program: Program) -> tuple[Program, tuple[int, ...]]:
     """Drop the qubits no instruction touches and renumber the rest 0..k-1.
 
-    The touched qubits keep their relative order, so every amplitude of the
-    compacted state is computed by the same arithmetic as the matching
-    amplitude of the full state; the dropped qubits would only have stayed
-    in |0>. Classical bits and conditions are untouched. A program that
-    touches every qubit comes back unchanged.
+    Returns the new program and the kept qubits, old qubit ``kept[k]``
+    becoming ``k``; one that touches no qubit keeps qubit 0. The touched
+    qubits keep their relative order, so every amplitude of the compacted
+    state is computed by the same arithmetic as the matching amplitude of
+    the full state; the dropped qubits would only have stayed in |0>.
+    Classical bits and conditions are untouched. A program that touches
+    every qubit comes back unchanged.
     """
-    used = sorted({qubit for ins in program.instructions for qubit in _qubits(ins)})
+    touched = {qubit for ins in program.instructions for qubit in _qubits(ins)}
+    used = tuple(sorted(touched)) or (0,)
     if len(used) == program.n_qubits:
-        return program
+        return program, used
     new = {qubit: index for index, qubit in enumerate(used)}
 
     def relabel(ins: GateOp | MeasureOp) -> GateOp | MeasureOp:
@@ -240,7 +243,7 @@ def compact(program: Program) -> Program:
         control = None if ins.control is None else new[ins.control]
         return replace(ins, target=new[ins.target], control=control)
 
-    return Program(len(used), program.n_cbits, [relabel(ins) for ins in program.instructions])
+    return Program(len(used), program.n_cbits, list(map(relabel, program.instructions))), used
 
 
 def _require(valid: bool, what: str) -> None:

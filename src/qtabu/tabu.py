@@ -36,7 +36,7 @@ from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, Gate, GateOp, StateVector, apply_gate, probabilities
+from .statevector import Gate, GateOp, StateVector, apply_gate, probabilities
 
 PopulationMode = Literal["with_replacement", "without_replacement"]
 CandidateSolution = tuple[int, ...]  # one 0/1 selection bit per item
@@ -201,14 +201,6 @@ class Population:
         # The head's normalized CDF, built on first use and dropped by apply.
         self._cdf: list[float] | None = None
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """The dense ``2**n_qubits`` amplitudes, as a new array."""
-        amplitudes = self.head.amplitudes.copy()
-        for width in self.tail:
-            amplitudes = np.kron(_BELL if width == 2 else _PLUS, amplitudes)
-        return amplitudes
-
     def apply(self, op: GateOp) -> None:
         """Apply one unconditioned gate to the head in place."""
         for qubit in (op.target, op.control):
@@ -220,21 +212,27 @@ class Population:
         apply_gate(self.head, op)
         self._cdf = None
 
-    def sample(self, u: float) -> CandidateSolution:
-        """The basis state at ``u`` in [0, 1) of the dense inverse CDF.
+    def sample(self, rng: np.random.Generator) -> CandidateSolution:
+        """The basis state at a uniform ``u`` in [0, 1) of the dense inverse CDF.
 
         Each tail block, from the highest down, splits its probability
         evenly between two outcomes, so it takes the next binary digit of
         ``u`` for all its qubits; what is left of ``u`` picks the head's
         entry (the first CDF entry above it, as ``searchsorted(side="right")``
         does). Doubling and subtracting 1 are exact here, so the tail adds no
-        rounding to the dense ``2**n`` inverse CDF.
+        rounding to the dense ``2**n`` inverse CDF. A draw holds 53 binary
+        digits, so ``u`` is drawn from ``rng`` again each time the walk has
+        passed 32 qubits since the last draw: up to 32 qubits take one draw.
         """
+        u, walked = rng.random(), 0
         tail_bits: list[int] = []
         for width in reversed(self.tail):
+            if walked >= 32:
+                u, walked = rng.random(), 0
             coin = u >= 0.5
             u = u + u - coin
             tail_bits.extend((int(coin),) * width)
+            walked += width
         if self._cdf is None:
             cdf = np.cumsum(probabilities(self.head))
             self._cdf = (cdf / cdf[-1]).tolist()
@@ -290,8 +288,8 @@ def init_population(n_items: int, mode: PopulationMode = "with_replacement") -> 
     trailing item left in ``|+>``. Only the head over qubits 0 and 1 is
     stored as amplitudes; no ``2**n_items`` array is made.
     """
-    if not 1 <= n_items <= MAX_QUBITS:
-        raise ValueError(f"n_items must be in 1..{MAX_QUBITS}, got {n_items}")
+    if n_items < 1:
+        raise ValueError(f"n_items must be >= 1, got {n_items}")
     if mode not in _MODES:
         raise ValueError(f"unknown population mode {mode!r}")
     if n_items == 1:
@@ -308,10 +306,10 @@ def sample_candidate(
 ) -> CandidateSolution:
     """Draw one selection from the population without collapsing it.
 
-    One uniform draw picks the basis state by the inverse CDF over the basis
-    index (qubit 0 least significant).
+    Uniform draws (one per 32 qubits) pick the basis state by the inverse
+    CDF over the basis index (qubit 0 least significant).
     """
-    return _as_population(population).sample(rng.random())
+    return _as_population(population).sample(rng)
 
 
 def _neighbourhood(instance: KnapsackInstance, bits: CandidateSolution) -> Neighbourhood:

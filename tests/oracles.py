@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qtabu.qasm import Program
 from qtabu.routing import CouplingMap
 from qtabu.statevector import Gate, GateOp, MeasureOp, cbit_key, run_program
+from qtabu.tabu import Population
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
 Z_MATRIX = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -77,6 +78,18 @@ def program_unitary(program: Program) -> np.ndarray:
         assert isinstance(ins, GateOp) and ins.condition is None
         unitary = gate_matrix(ins, program.n_qubits) @ unitary
     return unitary
+
+
+def population_amplitudes(population: Population) -> np.ndarray:
+    """The dense ``2**n`` amplitudes a head-and-tail population stands for:
+    ``kron`` of its tail blocks, from the highest down, with its head; a
+    block of width 1 is ``|+>`` and one of width 2 a Bell pair."""
+    plus = np.full(2, 2.0**-0.5, dtype=complex)
+    bell = np.array([1, 0, 0, 1], dtype=complex) * 2.0**-0.5
+    amplitudes = population.head.amplitudes.copy()
+    for width in population.tail:
+        amplitudes = np.kron(bell if width == 2 else plus, amplitudes)
+    return amplitudes
 
 
 def assert_routed_equivalent(

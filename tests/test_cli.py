@@ -7,12 +7,16 @@ import tracemalloc
 import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
 
+from oracles import random_gate_program
 from qtabu import statevector
 from qtabu.cli import main
 from qtabu.mapsearch import load_teleport
+from qtabu.qasm import Program, serialize
 from qtabu.routing import CouplingMap, route
+from qtabu.statevector import GateOp
 
 BELL_MEASURED = (
     "qreg q[2];\ncreg c[2];\nh q[0];\ncx q[0],q[1];\n"
@@ -138,16 +142,61 @@ def test_simulate_measured_circuit_on_a_map_wider_than_the_simulator(tmp_path, c
 
 
 def test_simulate_unmeasured_circuit_too_wide_names_the_width(tmp_path, capsys):
+    """Only the touched qubits are simulated, so an unmeasured Bell pair on a
+    25-qubit map runs; its keys still name all 25 physical qubits."""
     circuit = write(tmp_path, "bell.qasm", "qreg q[2];\ncreg c[0];\nh q[0];\ncx q[0],q[1];\n")
     cmap = write(tmp_path, "map.txt", json.dumps([[q, q + 1] for q in range(24)]))
     code, out, err = run_cli(capsys, ["simulate", circuit, "--map", cmap, "--seed", "1"])
-    assert code == 2
-    assert out == ""
+    assert code == 0
+    assert "error" not in err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [key for key, _, _ in rows] == ["0" * 25, "0" * 23 + "11"]
+    assert sum(int(count) for _, count, _ in rows) == 4096
+
+
+@pytest.mark.parametrize("measured", [True, False])
+def test_simulate_names_the_touched_width(tmp_path, capsys, measured):
+    """Past 20 touched qubits both branches stop at the one width check."""
+    text = "qreg q[21];\ncreg c[21];\n" + "".join(f"h q[{q}];\n" for q in range(21))
+    if measured:
+        text += "".join(f"measure q[{q}] -> c[{q}];\n" for q in range(21))
+    circuit = write(tmp_path, "wide.qasm", text)
+    code, out, err = run_cli(capsys, ["simulate", circuit, "--seed", "1"])
+    assert (code, out) == (2, "")
     assert "parse error" not in err
-    assert (
-        "simulate error: the routed circuit spans 25 physical qubits; without measurements "
-        "every physical qubit is sampled, and the simulator holds at most 20"
-    ) in err
+    assert "simulate error: the circuit touches 21 qubits; the simulator holds at most 20" in err
+
+
+def test_simulate_circuit_touching_no_qubit(tmp_path, capsys):
+    circuit = write(tmp_path, "idle.qasm", "qreg q[3];\ncreg c[0];\n")
+    code, out, _ = run_cli(capsys, ["simulate", circuit, "--shots", "4", "--seed", "1"])
+    assert (code, out) == (0, "bitstring,count,probability\n000,4,1.0\n")
+
+
+def test_simulate_unmeasured_compacted_counts_equal_full_width(tmp_path, capsys):
+    """Unmeasured circuits run on their touched qubits, and each sampled bit
+    goes back to its physical qubit. The seeded counts equal those of
+    simulating and sampling every qubit of the circuit."""
+    rng = np.random.default_rng(16)
+    path = tmp_path / "c.qasm"
+    for case in range(200):
+        n_qubits = int(rng.integers(3, 11))
+        small = random_gate_program(rng, int(rng.integers(1, n_qubits + 1)))
+        # Spread the touched qubits over the register, idle ones between.
+        spread = sorted(rng.choice(n_qubits, size=small.n_qubits, replace=False).tolist())
+        full = Program(n_qubits, 0, [
+            GateOp(ins.kind, spread[ins.target],
+                   control=None if ins.control is None else spread[ins.control])
+            for ins in small.instructions
+        ])
+        path.write_text(serialize(full))
+        argv = ["simulate", str(path), "--shots", "64", "--seed", str(case)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        state, _ = statevector.run_program(full, np.random.default_rng(case))
+        counts = statevector.sample_counts(state, 64, np.random.default_rng(case))
+        expected = "".join(f"{key},{counts[key]},{counts[key] / 64!r}\n" for key in sorted(counts))
+        assert out == "bitstring,count,probability\n" + expected
 
 
 def test_route_reversal_serialization(tmp_path, capsys):
@@ -258,15 +307,17 @@ def test_search_map_too_many_default_candidates(tmp_path, capsys):
 
 
 def test_search_map_engine_error_writes_no_output(tmp_path, capsys, monkeypatch):
+    """The 11-pair circuit (22 profit-bearing edges) searches; under settings
+    the engine rejects, the run fails before anything is written."""
     monkeypatch.chdir(tmp_path)
     write(tmp_path, "cx.qasm", ELEVEN_CX)
     argv = ["search-map", "cx.qasm", "--physical", "12", "--out", "o.csv", "--seed", "0"]
-    code, out, err = run_cli(capsys, argv)
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out.splitlines()[-1]) == (0, "score=6.0")
+    (tmp_path / "o.csv").unlink()
+    code, out, err = run_cli(capsys, argv + ["--tenure", "600", "--max-iter", "500"])
     assert code == 2
-    assert (
-        "engine error: 22 profit-bearing candidate edges exceed the 20-item population limit"
-        in err
-    )
+    assert "engine error: tabu_tenure 600 must be smaller than max_iterations 500" in err
     assert out == ""
     assert not (tmp_path / "o.csv").exists()
 
@@ -380,12 +431,14 @@ def test_exit_code_engine_error_for_settings(tmp_path, capsys):
 
 
 def test_exit_code_engine_error_for_problem_size(tmp_path, capsys):
+    """The engine has no item limit: 21 items that all fit run to all ones."""
     instance = write(tmp_path, "inst.txt", "21 30\n" + "1 1\n" * 21)
     code, out, err = run_cli(capsys, ["qts", instance, "--seed", "0"])
-    assert code == 2
-    assert out == ""
-    assert "engine error: n_items must be in 1..20, got 21" in err
-    assert "parse error" not in err
+    assert code == 0
+    assert "error" not in err
+    assert out.splitlines()[-1] == (
+        f"# best_eval=21.0 best_iter=492 iterations_run=500 solution={'1' * 21}"
+    )
 
 
 def test_exit_code_routing_error(tmp_path, capsys):

@@ -27,8 +27,7 @@ from qtabu.qasm import parse, serialize
 from qtabu.routing import CouplingMap
 from qtabu.tabu import KnapsackInstance, SearchConfig, fitness, qts_run
 
-# cx on 11 distinct pairs: 22 directed edges carry profit, past the
-# engine's 20-item limit.
+# cx on 11 distinct pairs: 22 directed edges carry profit.
 ELEVEN_CX = "qreg q[12];\ncreg c[0];\n" + "".join(
     f"cx q[{k}],q[{k + 1}];\n" for k in range(11)
 )
@@ -106,11 +105,30 @@ def test_search_best_map_limits_profit_bearing_edges_only():
     problem = MapSearchProblem(circuit, all_directed_pairs(12))
     instance = derive_knapsack(problem)
     assert instance.n_items == 132
-    assert sum(profit > 0 for profit in instance.profits) == 22
-    with pytest.raises(
-        ValueError, match="22 profit-bearing candidate edges exceed the 20-item population limit"
-    ):
-        search_best_map(problem, SearchConfig(seed=0))
+    kept = [k for k, profit in enumerate(instance.profits) if profit > 0]
+    assert len(kept) == 22
+    # The engine runs on those 22; six direct edges fill the budget of 6.
+    scored = search_best_map(problem, SearchConfig(seed=0))
+    assert scored.score == 6.0 == DEFAULT_EDGE_BUDGET * DIRECT_EDGE_PROFIT
+    assert scored.search.iterations_run == 500
+    assert len(scored.search.best_solution) == 132
+    assert {k for k, bit in enumerate(scored.search.best_solution) if bit} <= set(kept)
+
+
+def test_search_best_map_chain_of_eleven_cx_gate():
+    """All 132 pairs of 12 qubits, budget 11, seeds 0-99: the map holding
+    the eleven cx edges scores 11.0 and routes them all directly."""
+    problem = MapSearchProblem(parse(ELEVEN_CX), all_directed_pairs(12), 11)
+    hits = 0
+    for seed in range(100):
+        scored = search_best_map(problem, SearchConfig(seed=seed))
+        report = scored.routing
+        hits += (
+            scored.score == 11.0
+            and report is not None
+            and (report.direct_count, report.swap_count) == (11, 0)
+        )
+    assert hits >= 90
 
 
 def test_decode_selects_in_candidate_order():

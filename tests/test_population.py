@@ -15,11 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import population_amplitudes
 from qtabu.statevector import Gate, GateOp, StateVector, apply_gate, zero_state
 from qtabu.tabu import Population, init_population, sample_candidate
 
 MODES = ("with_replacement", "without_replacement")
 ESCAPE_GATES = (GateOp(Gate.CX, 1, control=0), GateOp(Gate.H, 1))
+
+
+class Draws:
+    """A stand-in generator whose ``random()`` returns the given draws in turn."""
+
+    def __init__(self, us: list[float]) -> None:
+        self.us = iter(us)
+
+    def random(self) -> float:
+        return next(self.us)
 
 
 def dense_population(n: int, mode: str) -> StateVector:
@@ -88,7 +99,9 @@ def test_factored_population_matches_dense(run):
         population.apply(op)
         apply_gate(dense, op)
     assert population.n_qubits == population.head.n_qubits + sum(population.tail) == n
-    np.testing.assert_allclose(population.amplitudes, dense.amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        population_amplitudes(population), dense.amplitudes, rtol=0, atol=1e-12
+    )
 
     rng_factored = np.random.default_rng(seed)
     rng_dense = np.random.default_rng(seed)
@@ -111,7 +124,8 @@ def test_long_tails_sample_as_dense(mode):
         edges += dyadic + [math.nextafter(u, 0.0) for u in dyadic]
         us = edges + rng.random(300).tolist()
         population = init_population(n, mode)
-        assert [population.sample(u) for u in us] == dyadic_inverse_cdfs(
+        draws = Draws(us)
+        assert [population.sample(draws) for _ in us] == dyadic_inverse_cdfs(
             dense_population(n, mode), us
         )
 
@@ -143,7 +157,38 @@ def test_dense_state_samples_as_one_block():
     state = zero_state(3)
     apply_gate(state, GateOp(Gate.H, 2))
     apply_gate(state, GateOp(Gate.CX, 0, control=2))
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        u = rng.random()
-        assert Population(state).sample(u) == dense_inverse_cdf(state, u)
+    us = np.random.default_rng(12).random(50).tolist()
+    draws = Draws(us)
+    for u in us:
+        assert Population(state).sample(draws) == dense_inverse_cdf(state, u)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_populations_up_to_32_qubits_take_one_draw(mode):
+    """Past the dense reference's widths, one draw still decides a whole
+    sample. A fresh population is ``m`` equally likely blocks (``|+>``
+    qubits or Bell pairs), so its dense inverse CDF at ``u`` is outcome
+    ``floor(u * 2**m)`` in index order: bit ``j`` of it fills block ``j``."""
+    us = np.random.default_rng(14).random(200).tolist()
+    for n in range(21, 33):
+        blocks = (1,) * n if mode == "with_replacement" else (2,) * (n // 2) + (1,) * (n % 2)
+        expected = [
+            tuple(bit for j, width in enumerate(blocks)
+                  for bit in ((int(u * 2 ** len(blocks)) >> j) & 1,) * width)
+            for u in us
+        ]
+        population = init_population(n, mode)
+        draws = Draws(us)
+        assert [population.sample(draws) for _ in us] == expected
+        assert next(draws.us, None) is None
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_qubit_of_a_wide_population_is_sampled_evenly(mode):
+    """A draw holds 53 binary digits, so a 120-qubit sample needs more than
+    one: each qubit, the lowest included, reads 1 in about half the draws."""
+    population = init_population(120, mode)
+    rng = np.random.default_rng(15)
+    ones = np.sum([sample_candidate(population, rng) for _ in range(2000)], axis=0)
+    assert ones.shape == (120,)
+    assert np.all((900 <= ones) & (ones <= 1100)), ones

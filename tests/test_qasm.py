@@ -193,30 +193,38 @@ def test_serialize_of_parse_is_stable():
 
 def test_compact_drops_idle_qubits():
     program = Program(6, 2, [GateOp(Gate.H, 1), GateOp(Gate.CX, 4, control=1), MeasureOp(4, 1)])
-    assert compact(program) == Program(
-        2, 2, [GateOp(Gate.H, 0), GateOp(Gate.CX, 1, control=0), MeasureOp(1, 1)]
+    assert compact(program) == (
+        Program(2, 2, [GateOp(Gate.H, 0), GateOp(Gate.CX, 1, control=0), MeasureOp(1, 1)]),
+        (1, 4),
     )
 
 
 def test_compact_keeps_relative_order():
     program = Program(8, 1, [GateOp(Gate.CX, 2, control=7), GateOp(Gate.X, 5), MeasureOp(2, 0)])
-    assert compact(program).instructions == [
+    compacted, qubits = compact(program)
+    assert qubits == (2, 5, 7)
+    assert compacted.instructions == [
         GateOp(Gate.CX, 0, control=2), GateOp(Gate.X, 1), MeasureOp(0, 0)
     ]
 
 
 def test_compact_leaves_a_fully_used_program_unchanged():
     teleport = load_teleport()
-    assert compact(teleport) == teleport
+    assert compact(teleport) == (teleport, (0, 1, 2))
 
 
 def test_compact_keeps_conditions_and_classical_bits():
     program = Program(5, 3, [
         GateOp(Gate.H, 3), MeasureOp(3, 2), GateOp(Gate.Z, 1, condition=(2, 1)), MeasureOp(1, 0),
     ])
-    assert compact(program) == Program(2, 3, [
+    assert compact(program) == (Program(2, 3, [
         GateOp(Gate.H, 1), MeasureOp(1, 2), GateOp(Gate.Z, 0, condition=(2, 1)), MeasureOp(0, 0),
-    ])
+    ]), (1, 3))
+
+
+def test_compact_keeps_qubit_0_of_a_program_touching_none():
+    assert compact(Program(3, 0, [])) == (Program(1, 0, []), (0,))
+    assert compact(Program(1, 2, [])) == (Program(1, 2, []), (0,))
 
 
 def test_compact_undoes_the_padding_of_a_direct_route():
@@ -224,8 +232,9 @@ def test_compact_undoes_the_padding_of_a_direct_route():
     text = resources.files("qtabu").joinpath("assets/sample_16q_map.txt").read_text()
     routed, report = route(teleport, parse_coupling_map(text))
     assert routed.n_qubits == 16 and report.swap_count == 0
-    assert compact(routed) == teleport
-    exact = branch_probabilities(compact(routed))
+    compacted, _ = compact(routed)
+    assert compacted == teleport
+    exact = branch_probabilities(compacted)
     expected = teleport_distribution(1.0, 0.0)
     for key in set(exact) | set(expected):
         assert abs(exact.get(key, 0.0) - expected.get(key, 0.0)) < 1e-12
@@ -244,8 +253,8 @@ def _touched(program: Program) -> list[int]:
 @settings(max_examples=200, deadline=None)
 @given(programs(), st.integers(0, 2**32 - 1))
 def test_compacted_program_runs_like_the_full_one(program, seed):
-    compacted = compact(program)
-    used = _touched(program)
+    compacted, used = compact(program)
+    assert list(used) == _touched(program)
     assert compacted.n_qubits == len(used)
     assert compacted.n_cbits == program.n_cbits
 

@@ -6,8 +6,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from oracles import brute_force_knapsack_max
-from qtabu.statevector import Gate, GateOp, apply_gate, probabilities, zero_state
+from oracles import brute_force_knapsack_max, population_amplitudes
+from qtabu.statevector import Gate, GateOp, apply_gate, zero_state
 from qtabu.tabu import (
     KnapsackInstance,
     SearchConfig,
@@ -96,26 +96,31 @@ def test_fitness_penalty_is_unclamped():
 
 def test_init_population_with_replacement_uniform():
     state = init_population(2, "with_replacement")
-    np.testing.assert_allclose(state.amplitudes, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(population_amplitudes(state), [0.5] * 4, atol=1e-12)
     state3 = init_population(3)
-    np.testing.assert_allclose(probabilities(state3), np.full(8, 1 / 8), atol=1e-12)
+    probs = np.abs(population_amplitudes(state3)) ** 2
+    np.testing.assert_allclose(probs, np.full(8, 1 / 8), atol=1e-12)
 
 
 def test_init_population_without_replacement_pairs():
     bell = init_population(2, "without_replacement")
-    np.testing.assert_allclose(bell.amplitudes, [2**-0.5, 0, 0, 2**-0.5], atol=1e-12)
+    np.testing.assert_allclose(population_amplitudes(bell), [2**-0.5, 0, 0, 2**-0.5], atol=1e-12)
     # odd count: bell on (0,1) tensor |+> on qubit 2
     three = init_population(3, "without_replacement")
     expected = np.zeros(8)
     expected[[0, 3, 4, 7]] = 0.25
-    np.testing.assert_allclose(probabilities(three), expected, atol=1e-12)
+    np.testing.assert_allclose(np.abs(population_amplitudes(three)) ** 2, expected, atol=1e-12)
 
 
 def test_init_population_validation():
-    with pytest.raises(ValueError, match="1..20"):
+    with pytest.raises(ValueError, match="n_items must be >= 1, got 0"):
         init_population(0)
-    with pytest.raises(ValueError, match="1..20"):
-        init_population(21)
+    # No width limit: 4,096 items keep a two-qubit head and sample in full.
+    wide = init_population(4096, "without_replacement")
+    assert (wide.head.n_qubits, wide.tail) == (2, (2,) * 2047)
+    bits = sample_candidate(wide, np.random.default_rng(0))
+    assert len(bits) == 4096 and set(bits) == {0, 1}
+    assert all(bits[k] == bits[k + 1] for k in range(0, 4096, 2))
     with pytest.raises(ValueError, match="population mode"):
         init_population(2, "sideways")
 
@@ -130,9 +135,9 @@ def test_sample_candidate_basis_state_deterministic():
 
 def test_sample_candidate_leaves_population_intact():
     state = init_population(2)
-    before = state.amplitudes.copy()
+    before = population_amplitudes(state)
     sample_candidate(state, np.random.default_rng(1))
-    np.testing.assert_array_equal(state.amplitudes, before)
+    np.testing.assert_array_equal(population_amplitudes(state), before)
 
 
 def test_sample_candidate_bell_correlation():
@@ -160,7 +165,7 @@ def test_sample_candidate_matches_probabilities_3sigma():
     for _ in range(draws):
         bits = sample_candidate(state, rng)
         counts[bits] = counts.get(bits, 0) + 1
-    probs = probabilities(state)
+    probs = np.abs(population_amplitudes(state)) ** 2
     for index, p in enumerate(probs):
         bits = tuple((index >> k) & 1 for k in range(3))
         sigma = np.sqrt(draws * p * (1 - p)) if 0 < p < 1 else 0.0
@@ -272,7 +277,7 @@ def test_escape_preserves_population_norm():
         state.best_solution = (turn % 2, 0, 1)
         state.iteration += 1
         escape(state, rng)
-    norm = float(np.sum(np.abs(state.population.amplitudes) ** 2))
+    norm = float(np.sum(np.abs(population_amplitudes(state.population)) ** 2))
     assert abs(norm - 1.0) < 1e-12
 
 
