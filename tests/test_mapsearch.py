@@ -101,6 +101,8 @@ def test_derive_knapsack_one_edge_profits():
 
 
 def test_search_best_map_limits_profit_bearing_edges_only():
+    """Of 132 candidates the engine sees only the 22 that carry profit, and
+    the selection lands on those alone."""
     circuit = parse(ELEVEN_CX)
     problem = MapSearchProblem(circuit, all_directed_pairs(12))
     instance = derive_knapsack(problem)

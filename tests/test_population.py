@@ -172,14 +172,14 @@ def test_populations_up_to_32_qubits_take_one_draw(mode):
     us = np.random.default_rng(14).random(200).tolist()
     for n in range(21, 33):
         blocks = (1,) * n if mode == "with_replacement" else (2,) * (n // 2) + (1,) * (n % 2)
-        expected = [
-            tuple(bit for j, width in enumerate(blocks)
-                  for bit in ((int(u * 2 ** len(blocks)) >> j) & 1,) * width)
-            for u in us
-        ]
+
+        def outcome(u: float) -> tuple[int, ...]:
+            k = int(u * 2 ** len(blocks))
+            return tuple(b for j, width in enumerate(blocks) for b in ((k >> j) & 1,) * width)
+
         population = init_population(n, mode)
         draws = Draws(us)
-        assert [population.sample(draws) for _ in us] == expected
+        assert [population.sample(draws) for _ in us] == [outcome(u) for u in us]
         assert next(draws.us, None) is None
 
 
