@@ -18,8 +18,8 @@ import numpy as np
 
 MAX_QUBITS = 20
 NORM_TOL = 1e-12
-# Most uniforms ``shot_counts`` draws at once (512 KiB), so its memory stays
-# flat in the shot count; a block holds at most this many shots.
+# Most uniforms ``shot_counts`` or ``sample_counts`` draws at once (512 KiB),
+# so their memory stays flat in the shot count.
 SHOT_BLOCK = 2**16
 
 _SQRT2_INV = 2.0 ** -0.5
@@ -184,16 +184,23 @@ def cbit_key(cbits: Sequence[int]) -> str:
 
 
 def sample_counts(state: StateVector, shots: int, rng: np.random.Generator) -> dict[str, int]:
-    """Sample the full register ``shots`` times without collapsing the state."""
+    """Sample the full register ``shots`` times without collapsing the state.
+
+    Each shot takes the first normalized-CDF entry above one uniform, as
+    ``rng.choice(size, p=probs)`` does, drawn in blocks of ``SHOT_BLOCK``.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     probs = probabilities(state)
-    probs = probs / probs.sum()
-    draws = rng.choice(probs.size, size=shots, p=probs)
-    values, counts = np.unique(draws, return_counts=True)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    counts = np.zeros(cdf.size, dtype=np.int64)
+    for start in range(0, shots, SHOT_BLOCK):
+        draws = rng.random(min(SHOT_BLOCK, shots - start))
+        counts += np.bincount(cdf.searchsorted(draws, side="right"), minlength=cdf.size)
     return {
-        bitstring(int(value), state.n_qubits): int(count)
-        for value, count in zip(values, counts)
+        bitstring(int(value), state.n_qubits): int(counts[value])
+        for value in np.flatnonzero(counts)
     }
 
 

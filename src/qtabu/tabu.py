@@ -4,7 +4,8 @@ The population is a quantum state over one qubit per item. Candidates are
 drawn from it by Born-rule sampling, improved by single-bit-flip moves
 under a tabu list with an aspiration rule, and when the search stagnates
 the population itself is perturbed with a gate (an entangling cx or an h)
-before resampling.
+before resampling. The tabu list is a window over the items of the last
+``tenure`` moves, so a flipped item stays tabu for the next ``tenure`` moves.
 
 Those gates only ever act on qubits 0 and 1, so every other qubit keeps its
 prepared ``|+>`` or Bell-pair half for the whole run (the Q-bit individual
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
@@ -176,7 +177,8 @@ def fitness(instance: KnapsackInstance, bits: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Engine knobs. ``tabu_tenure=None`` derives ``max(2, n_items // 4)``."""
+    """Engine knobs. ``tabu_tenure=None`` derives ``max(2, n_items // 4)``,
+    capped at ``max_iterations - 1`` (and at least 1)."""
 
     max_iterations: int = 500
     stagnation_limit: int = 20
@@ -258,7 +260,7 @@ class EngineCounters:
 
 @dataclass
 class SearchState(EngineCounters):
-    """Mutable state threaded through one search run."""
+    """Mutable state threaded through one search run's moves and escapes."""
 
     population: Population | StateVector
     current: CandidateSolution
@@ -266,8 +268,7 @@ class SearchState(EngineCounters):
     best_evaluation: float
     best_iteration: int
     iteration: int
-    tabu_list: deque[tuple[int, int]]  # (item index, last iteration it stays tabu)
-    trace: list[tuple[int, float, float]] = field(default_factory=list)
+    tabu_list: deque[int]  # items of the last moves, oldest first; maxlen is the tenure
 
 
 @dataclass
@@ -332,24 +333,17 @@ def _neighbourhood(instance: KnapsackInstance, bits: CandidateSolution) -> Neigh
     return _value(profit, load, capacity), scores, ranked
 
 
-def select_move(
-    state: SearchState,
-    instance: KnapsackInstance,
-    hood: Neighbourhood | None = None,
-) -> tuple[CandidateSolution, int]:
+def select_move(state: SearchState, hood: Neighbourhood) -> tuple[CandidateSolution, int]:
     """Pick the next selection from the flip neighborhood of ``state.current``.
 
-    Tabu moves are skipped unless they beat ``best_evaluation`` (aspiration).
-    The best admissible score wins, ties to the lowest item index. If every
-    move is tabu and none aspirates, the oldest tabu move is taken. Expired
-    tabu entries are purged first. ``hood`` is ``_neighbourhood`` of
-    ``state.current``, passed by a caller that already has it; it is only
-    read, never changed.
+    ``hood`` is ``_neighbourhood`` of ``state.current``; it is only read,
+    never changed. Moves on the items in ``state.tabu_list`` are skipped
+    unless they beat ``best_evaluation`` (aspiration). The best admissible
+    score wins, ties to the lowest item index. If every move is tabu and
+    none aspirates, the oldest tabu move is taken.
     """
-    while state.tabu_list and state.tabu_list[0][1] < state.iteration:
-        state.tabu_list.popleft()
-    _, scores, ranked = _neighbourhood(instance, state.current) if hood is None else hood
-    tabu_items = {item for item, _ in state.tabu_list}
+    _, scores, ranked = hood
+    tabu_items = set(state.tabu_list)
     blocked = {k for k in tabu_items if scores[k] <= state.best_evaluation}
     state.tabu_blocked += len(blocked)
     for best_k in ranked:
@@ -359,7 +353,7 @@ def select_move(
             break
     else:
         state.all_tabu_fallbacks += 1
-        best_k = state.tabu_list[0][0]
+        best_k = state.tabu_list[0]
     flipped = list(state.current)
     flipped[best_k] ^= 1
     return tuple(flipped), best_k
@@ -397,10 +391,12 @@ def check_config(config: SearchConfig, n_items: int) -> int:
         raise ValueError("max_iterations must be >= 1")
     if config.stagnation_limit < 1:
         raise ValueError("stagnation_limit must be >= 1")
-    tenure = config.tabu_tenure if config.tabu_tenure is not None else max(2, n_items // 4)
-    if tenure < 1:
+    tenure = config.tabu_tenure
+    if tenure is None:
+        tenure = max(1, min(max(2, n_items // 4), config.max_iterations - 1))
+    elif tenure < 1:
         raise ValueError("tabu_tenure must be >= 1")
-    if tenure >= config.max_iterations:
+    elif tenure >= config.max_iterations:
         raise ValueError(
             f"tabu_tenure {tenure} must be smaller than max_iterations {config.max_iterations}"
         )
@@ -444,28 +440,28 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         best_iteration=0,
         iteration=0,
         tabu_list=deque(maxlen=tenure),
-        trace=[],
     )
+    trace: list[tuple[int, float, float]] = []
     for iteration in range(1, config.max_iterations + 1):
         state.iteration = iteration
         if iteration - state.best_iteration > config.stagnation_limit:
             escape(state, rng)
             hood = neighbourhood(state.current)
-        chosen, flipped = select_move(state, instance, hood)
+        chosen, flipped = select_move(state, hood)
         state.current = chosen
-        state.tabu_list.append((flipped, iteration + tenure))
+        state.tabu_list.append(flipped)
         hood = neighbourhood(chosen)
         current_eval = hood[0]
         if current_eval > state.best_evaluation:
             state.best_solution = chosen
             state.best_evaluation = current_eval
             state.best_iteration = iteration
-        state.trace.append((iteration, current_eval, state.best_evaluation))
+        trace.append((iteration, current_eval, state.best_evaluation))
     return SearchResult(
         best_solution=state.best_solution,
         best_evaluation=state.best_evaluation,
         best_iteration=state.best_iteration,
         iterations_run=config.max_iterations,
-        trace=state.trace,
+        trace=trace,
         **{counter.name: getattr(state, counter.name) for counter in fields(EngineCounters)},
     )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qtabu.qasm import Program
 from qtabu.routing import CouplingMap
-from qtabu.statevector import Gate, GateOp, MeasureOp, cbit_key, run_program
+from qtabu.statevector import Gate, GateOp, MeasureOp, StateVector, cbit_key, run_program
 from qtabu.tabu import Population
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -173,24 +173,24 @@ def select_move(
     weights: tuple[float, ...],
     capacity: float,
     bits: tuple[int, ...],
-    tabu_list: list[tuple[int, int]],
-    iteration: int,
+    tabu_list: list[int],
     best_evaluation: float,
 ) -> tuple[tuple[int, ...], int]:
     """The tabu move rule over ``flip_scores``.
 
-    Entries of ``tabu_list`` (item, last tabu iteration) that expired before
-    ``iteration`` are ignored. A tabu flip is admissible only when it beats
-    ``best_evaluation``; the best admissible score wins, ties to the lowest
-    item; with none admissible the oldest live tabu entry's item is flipped.
+    ``tabu_list`` holds the items of the last moves, oldest first. A tabu
+    flip is admissible only when it beats ``best_evaluation``; the best
+    admissible score wins, ties to the lowest item; with none admissible
+    the oldest tabu item is flipped.
     """
     scores = flip_scores(profits, weights, capacity, bits)
-    live = [item for item, last in tabu_list if last >= iteration]
-    admissible = [k for k in range(len(bits)) if k not in live or scores[k] > best_evaluation]
+    admissible = [
+        k for k in range(len(bits)) if k not in tabu_list or scores[k] > best_evaluation
+    ]
     if admissible:
         flipped = max(admissible, key=lambda k: (scores[k], -k))
     else:
-        flipped = live[0]
+        flipped = tabu_list[0]
     chosen = list(bits)
     chosen[flipped] ^= 1
     return tuple(chosen), flipped
@@ -249,6 +249,17 @@ def shot_counts(program: Program, shots: int, rng: np.random.Generator) -> dict[
         key = cbit_key(cbits)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def sample_counts(state: StateVector, shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """All ``shots`` of the full register in one ``rng.choice`` call."""
+    probs = np.abs(state.amplitudes) ** 2
+    draws = rng.choice(probs.size, size=shots, p=probs / probs.sum())
+    values, counts = np.unique(draws, return_counts=True)
+    return {
+        format(int(value), f"0{state.n_qubits}b"): int(count)
+        for value, count in zip(values, counts)
+    }
 
 
 def random_connected_map(rng: np.random.Generator, n_physical: int) -> CouplingMap:

@@ -24,6 +24,7 @@ BELL_MEASURED = (
 )
 SINGLE_CX = "qreg q[2];\ncreg c[0];\ncx q[0],q[1];\n"
 TINY_INSTANCE = "1 1\n5 1\n"
+README_INSTANCE = "4 7\n10 5\n7 4\n4 2\n3 1\n"
 # cx on 11 distinct pairs: 22 directed edges carry profit.
 ELEVEN_CX = "qreg q[12];\ncreg c[0];\n" + "".join(
     f"cx q[{k}],q[{k + 1}];\n" for k in range(11)
@@ -152,6 +153,22 @@ def test_simulate_unmeasured_circuit_too_wide_names_the_width(tmp_path, capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [key for key, _, _ in rows] == ["0" * 25, "0" * 23 + "11"]
     assert sum(int(count) for _, count, _ in rows) == 4096
+
+
+def test_simulate_unmeasured_memory_is_flat_in_shots(tmp_path, capsys):
+    """Shots of a state are drawn in blocks: two million of them used to
+    take about 35 MB at once."""
+    circuit = write(tmp_path, "bell.qasm", "qreg q[2];\ncreg c[0];\nh q[0];\ncx q[0],q[1];\n")
+    tracemalloc.start()
+    try:
+        code = main(["simulate", circuit, "--shots", "2000000", "--seed", "0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["00", "11"]
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("measured", [True, False])
@@ -428,6 +445,22 @@ def test_exit_code_engine_error_for_settings(tmp_path, capsys):
     assert out == ""
     assert "engine error: tabu_tenure 600 must be smaller than max_iterations 500" in err
     assert "parse error" not in err
+
+
+@pytest.mark.parametrize(
+    "text, flags, iterations",
+    [
+        (README_INSTANCE, ["--max-iter", "1"], 1),
+        (README_INSTANCE, ["--max-iter", "2"], 2),  # derives 2, capped at 1
+        ("2000 1000\n" + "1 1\n" * 2000, [], 500),  # derives 500, capped at 499
+    ],
+)
+def test_qts_derived_tenure_fits_any_max_iter(tmp_path, capsys, text, flags, iterations):
+    instance = write(tmp_path, "inst.txt", text)
+    code, out, err = run_cli(capsys, ["qts", instance, *flags, "--seed", "0"])
+    assert code == 0
+    assert "error" not in err
+    assert f" iterations_run={iterations} " in out.splitlines()[-1]
 
 
 def test_exit_code_engine_error_for_problem_size(tmp_path, capsys):

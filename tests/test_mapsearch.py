@@ -216,7 +216,7 @@ def test_search_best_map_without_profit_runs_no_search():
         SearchConfig(stagnation_limit=0),
         SearchConfig(tabu_tenure=0),
         SearchConfig(tabu_tenure=600, max_iterations=500),
-        SearchConfig(max_iterations=2),  # the derived tenure of 2 is too long
+        SearchConfig(max_iterations=1, tabu_tenure=1),  # an explicit tenure as long as the run
         SearchConfig(population_mode="bogus"),  # type: ignore[arg-type]
     ],
 )

@@ -24,7 +24,6 @@ from qtabu.statevector import Gate
 from qtabu.tabu import KnapsackInstance, SearchConfig, SearchState, fitness, init_population
 
 MODES = ("with_replacement", "without_replacement")
-ITERATION = 10
 
 
 @st.composite
@@ -44,12 +43,8 @@ def test_select_move_matches_vectorised_oracle(data):
     args = (instance.profits, instance.weights, instance.max_capacity)
     current = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     scores = oracles.flip_scores(*args, current)
-    items = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
-    # Entries are appended as iterations pass, so their last tabu
-    # iterations never decrease; some have already expired.
-    last = st.integers(ITERATION - 3, ITERATION + 8)
-    lasts = st.lists(last, min_size=len(items), max_size=len(items))
-    tabu_list = list(zip(items, sorted(data.draw(lasts))))
+    # The items of the last moves, oldest first; an item may recur.
+    tabu_list = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2))
     # Pin the best to one neighbour's score half the time, so aspiration's
     # strict comparison is exercised at equality.
     pinned = data.draw(st.none() | st.integers(0, n - 1))
@@ -63,14 +58,14 @@ def test_select_move_matches_vectorised_oracle(data):
         best_solution=current,
         best_evaluation=best_evaluation,
         best_iteration=0,
-        iteration=ITERATION,
+        iteration=1,
         tabu_list=deque(tabu_list),
     )
 
-    move = tabu.select_move(state, instance)
+    move = tabu.select_move(state, tabu._neighbourhood(instance, current))
 
-    assert move == oracles.select_move(*args, current, tabu_list, ITERATION, best_evaluation)
-    live = {item for item, last in tabu_list if last >= ITERATION}
+    assert move == oracles.select_move(*args, current, tabu_list, best_evaluation)
+    live = set(tabu_list)
     blocked = sum(1 for k in live if scores[k] <= best_evaluation)
     assert state.tabu_blocked == blocked
     assert state.all_tabu_fallbacks == int(blocked == n)
@@ -256,9 +251,9 @@ def test_every_move_of_a_run_matches_the_oracle(instance, seed, mode, stagnation
         current, tabu_list, best = state.current, list(state.tabu_list), state.best_evaluation
         before = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
         move = select_move(state, *rest)
-        assert move == oracles.select_move(*args, current, tabu_list, state.iteration, best)
+        assert move == oracles.select_move(*args, current, tabu_list, best)
         scores = oracles.flip_scores(*args, current)
-        live = {item for item, last in tabu_list if last >= state.iteration}
+        live = set(tabu_list)
         blocked = sum(1 for k in live if scores[k] <= best)
         fallback = blocked == instance.n_items
         expected = (

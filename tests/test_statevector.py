@@ -243,6 +243,25 @@ def test_sample_counts_validation_and_determinism():
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "shots", [1, SHOT_BLOCK - 1, SHOT_BLOCK, SHOT_BLOCK + 1, 2 * SHOT_BLOCK + 5]
+)
+def test_sample_counts_equal_one_choice_call(shots):
+    """Drawn in blocks, the shots give the counts, their key order and the
+    generator state of one ``rng.choice`` call over all of them."""
+    rng = np.random.default_rng(shots)
+    for n in (1, 3, 6):
+        amplitudes = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amplitudes[1::3] = 0.0  # outcomes that never occur
+        state = StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+        seed = int(rng.integers(2**32))
+        blocks, choice = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = sample_counts(state, shots, blocks)
+        expected = oracles.sample_counts(state, shots, choice)
+        assert list(counts.items()) == list(expected.items())
+        assert blocks.random() == choice.random()
+
+
 def test_uniform_sampling_within_3_sigma():
     rng = np.random.default_rng(17)
     state = zero_state(2)

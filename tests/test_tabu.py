@@ -12,6 +12,8 @@ from qtabu.tabu import (
     KnapsackInstance,
     SearchConfig,
     SearchState,
+    _neighbourhood,
+    check_config,
     escape,
     fitness,
     init_population,
@@ -172,59 +174,55 @@ def test_sample_candidate_matches_probabilities_3sigma():
         assert abs(counts.get(bits, 0) - draws * p) <= 3 * sigma + 1e-9
 
 
-def _state_for_select(current, best_eval, tabu=(), iteration=1) -> SearchState:
+def _state_for_select(current, best_eval, tabu=()) -> SearchState:
     return SearchState(
         population=init_population(len(current)),
         current=tuple(current),
         best_solution=tuple(current),
         best_evaluation=best_eval,
         best_iteration=0,
-        iteration=iteration,
+        iteration=1,
         tabu_list=deque(tabu, maxlen=8),
     )
+
+
+def _select(state: SearchState, inst: KnapsackInstance):
+    return select_move(state, _neighbourhood(inst, state.current))
 
 
 def test_select_move_picks_best_neighbor():
     inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
     state = _state_for_select((0, 0), best_eval=0.0)
-    chosen, flipped = select_move(state, inst)
+    chosen, flipped = _select(state, inst)
     assert (chosen, flipped) == ((0, 1), 1)
 
 
 def test_select_move_respects_tabu():
     inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=4.0, tabu=[(1, 9)])
-    chosen, flipped = select_move(state, inst)
+    state = _state_for_select((0, 0), best_eval=4.0, tabu=[1])
+    chosen, flipped = _select(state, inst)
     assert (chosen, flipped) == ((1, 0), 0)
 
 
 def test_select_move_aspiration_overrides_tabu():
     inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=3.5, tabu=[(1, 9)])
-    chosen, flipped = select_move(state, inst)
+    state = _state_for_select((0, 0), best_eval=3.5, tabu=[1])
+    chosen, flipped = _select(state, inst)
     assert (chosen, flipped) == ((0, 1), 1)  # 4.0 beats best 3.5 despite tabu
 
 
 def test_select_move_all_tabu_takes_oldest():
     inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=99.0, tabu=[(1, 9), (0, 9)])
-    chosen, flipped = select_move(state, inst)
+    state = _state_for_select((0, 0), best_eval=99.0, tabu=[1, 0])
+    chosen, flipped = _select(state, inst)
     assert flipped == 1  # oldest entry's item, not the better-scoring one
     assert chosen == (0, 1)
-
-
-def test_select_move_purges_expired_entries():
-    inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=99.0, tabu=[(1, 3), (0, 9)], iteration=5)
-    chosen, flipped = select_move(state, inst)
-    assert flipped == 1  # (1, 3) expired before iteration 5, so item 1 is free
-    assert [item for item, _ in state.tabu_list] == [0]
 
 
 def test_select_move_ties_break_low_index():
     inst = KnapsackInstance((4.0, 4.0), (1.0, 1.0), 5.0)
     state = _state_for_select((0, 0), best_eval=0.0)
-    _, flipped = select_move(state, inst)
+    _, flipped = _select(state, inst)
     assert flipped == 0
 
 
@@ -346,6 +344,16 @@ def test_qts_run_config_validation():
         qts_run(inst, SearchConfig(tabu_tenure=0, seed=0))
     with pytest.raises(ValueError, match="smaller than max_iterations"):
         qts_run(inst, SearchConfig(max_iterations=2, tabu_tenure=2, seed=0))
+
+
+def test_derived_tenure_stays_shorter_than_the_run():
+    assert check_config(SearchConfig(), 20) == 5
+    assert check_config(SearchConfig(), 3) == 2
+    assert check_config(SearchConfig(), 2000) == 499
+    assert check_config(SearchConfig(max_iterations=2), 4) == 1
+    assert check_config(SearchConfig(max_iterations=1), 4) == 1
+    result = qts_run(KnapsackInstance((5.0, 3.0), (1.0, 1.0), 1.0), SearchConfig(max_iterations=1))
+    assert result.iterations_run == 1
 
 
 def test_qts_run_escape_restarts_stagnation_window():
