@@ -9,8 +9,12 @@ Supported statements, whitespace-insensitive, with ``//`` line comments:
     if(c[j]==1) x q[i];      (likewise z)
 
 Exactly one quantum register (named ``q``) and one classical register
-(named ``c``). Parsing stops at the first error and raises
-:class:`QasmParseError` positioned at the offending token.
+(named ``c``), each of at most ``MAX_REGISTER_SIZE`` bits. Numbers are ASCII
+digits. Parsing stops at the first error and raises :class:`QasmParseError`
+positioned at the offending token. A stray character fails before any
+statement is parsed. The tokenizer keeps only the token texts; a token's
+offset in the source is found, by scanning the source again, only when an
+error is raised at it.
 
 :func:`compact` rewrites a program onto only the qubits it touches.
 """
@@ -18,10 +22,14 @@ Exactly one quantum register (named ``q``) and one classical register
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+import string
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .statevector import Gate, GateOp, MeasureOp
+
+# Largest register ``qreg``/``creg`` may declare.
+MAX_REGISTER_SIZE = 4096
 
 _ONE_QUBIT_GATES = {"x": Gate.X, "z": Gate.Z, "h": Gate.H}
 _KEYWORDS = {"qreg", "creg", "measure", "if", "cx", *_ONE_QUBIT_GATES}
@@ -51,76 +59,80 @@ class QasmParseError(Exception):
         self.message = message
 
 
-class _Token(NamedTuple):
-    text: str
-    offset: int
-
-
+# One match per token: skip whitespace and comments, then take a token, a
+# stray character, or the end of the source. The skip never backtracks:
+# whatever follows it matches the stray-character or end alternative.
 _TOKEN_RE = re.compile(
-    r"//[^\n]*"
-    r"|(?P<tok>[A-Za-z_][A-Za-z0-9_]*|\d+|->|==|[\[\];,()])"
-    r"|(?P<space>\s+)"
-    r"|(?P<bad>.)"
+    r"(?:\s+|//[^\n]*)*"
+    r"([A-Za-z_][A-Za-z0-9_]*|[0-9]+|->|==|[\[\];,()]|.|\Z)"
 )
+# A one-character match outside this set is a stray character.
+_ONE_CHAR_TOKENS = frozenset(string.ascii_letters + string.digits + "_[];,()")
 
 
 class _Parser:
+    """Recursive descent over the token texts; ``pos`` indexes the next one."""
+
     def __init__(self, source: str) -> None:
         self.source = source
-        self.tokens: list[_Token] = []
-        for match in _TOKEN_RE.finditer(source):
-            if match.lastgroup == "tok":
-                self.tokens.append(_Token(match.group(), match.start()))
-            elif match.lastgroup == "bad":
-                bad = _Token(match.group(), match.start())
-                raise self.error("syntax", f"unexpected character {bad.text!r}", bad)
+        tokens = _TOKEN_RE.findall(source)
+        # The end of the source matches as the first empty token.
+        del tokens[tokens.index(""):]
+        self.tokens = tokens
+        strays = {text for text in set(tokens) if len(text) == 1} - _ONE_CHAR_TOKENS
+        if strays:
+            at = min(map(tokens.index, strays))
+            raise self.error("syntax", f"unexpected character {tokens[at]!r}", at)
         self.pos = 0
         self.n_qubits: int | None = None
         self.n_cbits: int | None = None
         self.instructions: list[GateOp | MeasureOp] = []
 
-    def error(self, kind: str, message: str, token: _Token | None = None) -> QasmParseError:
-        """An error at ``token``, or at the end of the source without one."""
-        offset = len(self.source) if token is None else token.offset
+    def error(self, kind: str, message: str, at: int | None = None) -> QasmParseError:
+        """An error at token index ``at``, by default the last token read.
+
+        Index ``len(tokens)`` is the end of the source."""
+        if at is None:
+            at = self.pos - 1
+        match = next(islice(_TOKEN_RE.finditer(self.source), at, None))
+        offset = match.start(1)
         line = self.source.count("\n", 0, offset) + 1
         column = offset - self.source.rfind("\n", 0, offset)
         return QasmParseError(line, column, kind, message)
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         if self.pos >= len(self.tokens):
-            raise self.error("syntax", "unexpected end of input")
-        token = self.tokens[self.pos]
+            raise self.error("syntax", "unexpected end of input", len(self.tokens))
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
-    def expect(self, text: str) -> _Token:
-        token = self.next()
-        if token.text != text:
-            raise self.error("syntax", f"expected {text!r}, got {token.text!r}", token)
-        return token
+    def expect(self, text: str) -> None:
+        got = self.next()
+        if got != text:
+            raise self.error("syntax", f"expected {text!r}, got {got!r}")
 
-    def expect_int(self, what: str) -> tuple[int, _Token]:
-        token = self.next()
-        if not token.text.isdigit():
-            raise self.error("syntax", f"expected {what}, got {token.text!r}", token)
-        return int(token.text), token
+    def expect_int(self, what: str) -> int:
+        got = self.next()
+        if not got.isdigit():
+            raise self.error("syntax", f"expected {what}, got {got!r}")
+        return int(got)
 
     def parse(self) -> Program:
         while self.pos < len(self.tokens):
             self.statement()
         if self.n_qubits is None:
-            raise self.error("syntax", "missing qreg declaration")
+            raise self.error("syntax", "missing qreg declaration", len(self.tokens))
         if self.n_cbits is None:
-            raise self.error("syntax", "missing creg declaration")
+            raise self.error("syntax", "missing creg declaration", len(self.tokens))
         return Program(self.n_qubits, self.n_cbits, self.instructions)
 
     def statement(self) -> None:
-        token = self.next()
-        text = token.text
+        start = self.pos
+        text = self.next()
         if text == "qreg":
-            self.declaration(token, "q")
+            self.declaration(text, "q")
         elif text == "creg":
-            self.declaration(token, "c")
+            self.declaration(text, "c")
         elif text in _ONE_QUBIT_GATES:
             qubit = self.qubit_operand()
             self.expect(";")
@@ -131,7 +143,7 @@ class _Parser:
             target = self.qubit_operand()
             self.expect(";")
             if control == target:
-                raise self.error("range", "cx control and target must differ", token)
+                raise self.error("range", "cx control and target must differ", start)
             self.instructions.append(GateOp(Gate.CX, target, control=control))
         elif text == "measure":
             qubit = self.qubit_operand()
@@ -142,22 +154,24 @@ class _Parser:
         elif text == "if":
             self.conditioned()
         elif text.isidentifier():
-            raise self.error("unknown-gate", f"unknown gate {text!r}", token)
+            raise self.error("unknown-gate", f"unknown gate {text!r}")
         else:
-            raise self.error("syntax", f"unexpected token {text!r}", token)
+            raise self.error("syntax", f"unexpected token {text!r}")
 
-    def declaration(self, keyword: _Token, name: str) -> None:
+    def declaration(self, keyword: str, name: str) -> None:
         declared = self.n_qubits if name == "q" else self.n_cbits
         if declared is not None:
-            raise self.error("redeclaration", f"{keyword.text} already declared", keyword)
+            raise self.error("redeclaration", f"{keyword} already declared")
         got = self.next()
-        if got.text != name:
-            raise self.error(
-                "syntax", f"register must be named {name!r}, got {got.text!r}", got
-            )
+        if got != name:
+            raise self.error("syntax", f"register must be named {name!r}, got {got!r}")
         self.expect("[")
-        size, _ = self.expect_int("register size")
+        size_at = self.pos
+        size = self.expect_int("register size")
         self.expect("]")
+        if size > MAX_REGISTER_SIZE:
+            message = f"{keyword} size {size} exceeds the limit of {MAX_REGISTER_SIZE}"
+            raise self.error("range", message, size_at)
         self.expect(";")
         if name == "q":
             self.n_qubits = size
@@ -168,37 +182,35 @@ class _Parser:
         self.expect("(")
         cbit = self.cbit_operand()
         self.expect("==")
-        value, value_token = self.expect_int("condition value")
-        if value != 1:
-            raise self.error("syntax", "condition value must be 1", value_token)
+        if self.expect_int("condition value") != 1:
+            raise self.error("syntax", "condition value must be 1")
         self.expect(")")
-        gate_token = self.next()
-        if gate_token.text in ("x", "z"):
-            kind = _ONE_QUBIT_GATES[gate_token.text]
-        elif gate_token.text in _KEYWORDS:
-            raise self.error(
-                "syntax", f"only x and z may be conditioned, got {gate_token.text!r}", gate_token
-            )
-        elif gate_token.text.isidentifier():
-            raise self.error("unknown-gate", f"unknown gate {gate_token.text!r}", gate_token)
+        gate = self.next()
+        if gate in ("x", "z"):
+            kind = _ONE_QUBIT_GATES[gate]
+        elif gate in _KEYWORDS:
+            raise self.error("syntax", f"only x and z may be conditioned, got {gate!r}")
+        elif gate.isidentifier():
+            raise self.error("unknown-gate", f"unknown gate {gate!r}")
         else:
-            raise self.error("syntax", f"expected a gate, got {gate_token.text!r}", gate_token)
+            raise self.error("syntax", f"expected a gate, got {gate!r}")
         qubit = self.qubit_operand()
         self.expect(";")
         self.instructions.append(GateOp(kind, qubit, condition=(cbit, 1)))
 
     def operand(self, name: str, size: int | None, what: str) -> int:
         got = self.next()
-        if got.text != name:
-            raise self.error("syntax", f"expected register {name!r}, got {got.text!r}", got)
+        if got != name:
+            raise self.error("syntax", f"expected register {name!r}, got {got!r}")
         if size is None:
-            raise self.error("range", f"{what} used before its register is declared", got)
+            raise self.error("range", f"{what} used before its register is declared")
         self.expect("[")
-        index, index_token = self.expect_int(f"{what} index")
+        index_at = self.pos
+        index = self.expect_int(f"{what} index")
         self.expect("]")
         if index >= size:
             raise self.error(
-                "range", f"{what} index {index} out of range (register size {size})", index_token
+                "range", f"{what} index {index} out of range (register size {size})", index_at
             )
         return index
 
@@ -239,9 +251,9 @@ def compact(program: Program) -> tuple[Program, tuple[int, ...]]:
 
     def relabel(ins: GateOp | MeasureOp) -> GateOp | MeasureOp:
         if isinstance(ins, MeasureOp):
-            return replace(ins, qubit=new[ins.qubit])
+            return MeasureOp(new[ins.qubit], ins.cbit)
         control = None if ins.control is None else new[ins.control]
-        return replace(ins, target=new[ins.target], control=control)
+        return GateOp(ins.kind, new[ins.target], control, ins.condition)
 
     return Program(len(used), program.n_cbits, list(map(relabel, program.instructions))), used
 

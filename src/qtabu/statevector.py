@@ -10,8 +10,10 @@ rerunning with the same seed reproduces every draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -95,19 +97,26 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def _halves(state: StateVector, qubit: int, control: int | None = None):
-    """Views of the amplitudes with ``qubit`` at 0 and at 1, inside ``control`` = 1.
+@cache
+def _half_indices(n: int, qubit: int, control: int | None):
+    """The ``(2,) * n`` shape and the indices of ``_halves``' two views.
 
-    The trailing ``...`` keeps a fully fixed index a 0-d view, not a scalar copy."""
-    n = state.n_qubits
-    view = state.amplitudes.reshape([2] * n)
+    The trailing ``...`` keeps a fully fixed index a 0-d view, not a scalar copy.
+    Every state has at most ``MAX_QUBITS`` qubits, so the cache stays small."""
     index: list[slice | int] = [slice(None)] * n
     if control is not None:
         index[n - 1 - control] = 1
     index[n - 1 - qubit] = 0
-    zero = view[(*index, ...)]
+    zero = (*index, ...)
     index[n - 1 - qubit] = 1
-    return zero, view[(*index, ...)]
+    return (2,) * n, zero, (*index, ...)
+
+
+def _halves(state: StateVector, qubit: int, control: int | None = None):
+    """Views of the amplitudes with ``qubit`` at 0 and at 1, inside ``control`` = 1."""
+    shape, zero, one = _half_indices(state.n_qubits, qubit, control)
+    view = state.amplitudes.reshape(shape)
+    return view[zero], view[one]
 
 
 def _check_qubit(state: StateVector, qubit: int, role: str) -> None:
@@ -161,15 +170,18 @@ def measure(state: StateVector, qubit: int, rng: np.random.Generator) -> tuple[i
 def _p_one(state: StateVector, qubit: int) -> float:
     """Born probability that measuring ``qubit`` gives 1."""
     _check_qubit(state, qubit, "measured")
-    return float(np.sum(np.abs(_halves(state, qubit)[1]) ** 2))
+    # np.sum's own reduction, without its Python wrapper.
+    return float(np.add.reduce(np.abs(_halves(state, qubit)[1]) ** 2, axis=None))
 
 
 def _project(state: StateVector, qubit: int, outcome: int) -> StateVector:
     """Collapse ``qubit`` onto ``outcome`` in place and return the state."""
     _halves(state, qubit)[1 - outcome][...] = 0.0
     # Renormalize by the actual remaining norm so repeated measurement does
-    # not accumulate drift.
-    state.amplitudes /= np.linalg.norm(state.amplitudes)
+    # not accumulate drift. This is np.linalg.norm's formula for a complex
+    # vector, without its Python overhead.
+    amps = state.amplitudes
+    amps /= math.sqrt(amps.real.dot(amps.real) + amps.imag.dot(amps.imag))
     return state
 
 

@@ -401,6 +401,23 @@ def test_exit_code_parse_error_unknown_gate(tmp_path, capsys):
     assert "unknown-gate" in err
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("qreg q[99999999999999999999]; creg c[1];\n", "1:8: range: qreg size"),
+        ("qreg q[1];\ncreg c[300000000];\nmeasure q[0] -> c[0];\n", "2:8: range: creg size"),
+    ],
+    ids=["huge-qreg", "huge-creg"],
+)
+def test_exit_code_parse_error_register_too_large(tmp_path, capsys, text, position):
+    circuit = write(tmp_path, "big.qasm", text)
+    code, out, err = run_cli(capsys, ["simulate", circuit, "--seed", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"seed=0\nparse error: {position} ")
+    assert err.endswith(" exceeds the limit of 4096\n")
+
+
 def test_exit_code_parse_error_bad_map(tmp_path, capsys):
     circuit = write(tmp_path, "cx.qasm", SINGLE_CX)
     cmap = write(tmp_path, "map.txt", "[[0, 0]]")

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import random
+import re
+import string
 from importlib import resources
 
 import numpy as np
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import program_unitary, programs, teleport_distribution
 from qtabu.mapsearch import load_teleport
-from qtabu.qasm import Program, QasmParseError, compact, parse, serialize
+from qtabu.qasm import MAX_REGISTER_SIZE, Program, QasmParseError, compact, parse, serialize
 from qtabu.routing import parse_coupling_map, route
 from qtabu.statevector import Gate, GateOp, MeasureOp, branch_probabilities, run_program
 
@@ -123,6 +127,28 @@ def test_conditioned_unknown_gate():
 def test_error_line_column_and_kind(source, position):
     err = _error(source)
     assert (err.line, err.column, err.kind) == position
+
+
+def test_stray_character_beats_an_earlier_statement_error():
+    err = _error("qreg q[1]; x q[5]; $")
+    assert str(err) == "1:20: syntax: unexpected character '$'"
+    err = _error("qreg q[1];\ncreg c[1];\ny q[0]; // fine\nx q[0]; - >")
+    assert str(err) == "4:9: syntax: unexpected character '-'"
+
+
+def test_only_ascii_digits_are_numbers():
+    err = _error("qreg q[\uff12];")  # a fullwidth 2
+    assert str(err) == "1:8: syntax: unexpected character '\uff12'"
+    assert (err.line, err.column, err.kind) == (1, 8, "syntax")
+
+
+def test_register_size_bound():
+    largest = parse(f"qreg q[{MAX_REGISTER_SIZE}]; creg c[{MAX_REGISTER_SIZE}];")
+    assert (largest.n_qubits, largest.n_cbits) == (MAX_REGISTER_SIZE, MAX_REGISTER_SIZE)
+    err = _error("qreg q[1];\ncreg  c[ 4097 ];")
+    assert str(err) == "2:10: range: creg size 4097 exceeds the limit of 4096"
+    err = _error("qreg q[99999999999999999999]; creg c[1];")
+    assert (err.line, err.column, err.kind) == (1, 8, "range")
 
 
 def test_error_positions_inside_source():
@@ -277,3 +303,72 @@ def test_compacted_program_runs_like_the_full_one(program, seed):
     if all(isinstance(ins, GateOp) and ins.condition is None for ins in program.instructions):
         expected = program_unitary(compacted)[:, 0]
         np.testing.assert_allclose(small_state.amplitudes, expected, rtol=0, atol=1e-12)
+
+
+ALL_FORMS = """\
+qreg q[4];
+creg c[3];
+x q[0]; z q[1]; h q[2];
+cx q[0],q[3];
+measure q[1] -> c[0];
+if(c[0]==1) x q[2];
+if(c[2]==1) z q[3];
+measure q[3] -> c[2];
+"""
+SPACING = (
+    "// header comment\r\n\tqreg\tq [ 2 ] ;\r\ncreg c[2]; // trailing\r\n"
+    "\th q[0];\t// tab then comment\r\ncx q[0] , q[1];\r\n\r\n"
+    "measure q[0]->c[1];\r\n// closing comment"
+)
+_SNIPPETS = (
+    "qreg", "creg", "q", "c", "[", "]", ";", ",", "->", "==", "(", ")", "if", "x", "z", "h",
+    "cx", "measure", "0", "1", "7", "12", "//", " ", "\n", "\r\n", "\t", "-", "=", "$", "y",
+    "q[5]", "c[3]", "qreg q[2];", "creg c[1];", "x q[1];", "cx q[2],q[2];",
+)
+
+
+def _mutated_sources(count: int, seed: int) -> list[str]:
+    """ASCII mutations of four bases: insertions, deletions, replacements and
+    duplicated runs. No source holds a run of 4 or more digits, so every
+    register size stays below ``MAX_REGISTER_SIZE``."""
+    rng = random.Random(seed)
+    teleport = resources.files("qtabu").joinpath("assets/teleport.qasm").read_text()
+    bases = (teleport, ALL_FORMS, SPACING, "")
+    alphabet = string.printable
+    sources: list[str] = []
+    while len(sources) < count:
+        text = bases[len(sources) % len(bases)]
+        for _ in range(rng.randint(1, 4)):
+            # Half the edits start where a statement may start.
+            starts = [0, *(k + 1 for k, char in enumerate(text) if char in ";\n")]
+            at = rng.choice(starts) if rng.random() < 0.5 else rng.randint(0, len(text))
+            span = rng.randint(1, 12)
+            kind = rng.randrange(4)
+            if kind == 0:
+                piece = rng.choice(_SNIPPETS) if rng.random() < 0.5 else rng.choice(alphabet)
+                text = text[:at] + piece + text[at:]
+            elif kind == 1:
+                text = text[:at] + text[at + span:]
+            elif kind == 2:
+                text = text[:at] + rng.choice(alphabet) + text[at + 1:]
+            else:
+                text = text[:at + span] + text[at:at + span] + text[at + span:]
+        if not re.search(r"[0-9]{4}", text):
+            sources.append(text)
+    return sources
+
+
+def _outcome(source: str) -> str:
+    try:
+        return repr(parse(source))
+    except QasmParseError as err:
+        return repr((err.line, err.column, err.kind, err.message))
+
+
+def test_parse_outcomes_of_a_mutated_corpus_are_pinned():
+    sources = _mutated_sources(3000, seed=20261019)
+    outcomes = [_outcome(source) for source in sources]
+    parsed = sum(not outcome.startswith("(") for outcome in outcomes)
+    assert 100 < parsed < 2900  # the corpus reaches both programs and errors
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "bb25e1b8059b756e97d62700a63a059b389d6b48db50f4adb925be12bf2e6f5b"

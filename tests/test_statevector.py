@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import gate_matrix, programs
+from qtabu import statevector
 from qtabu.mapsearch import load_teleport
 from qtabu.qasm import Program
 from qtabu.statevector import (
@@ -260,6 +261,64 @@ def test_sample_counts_equal_one_choice_call(shots):
         expected = oracles.sample_counts(state, shots, choice)
         assert list(counts.items()) == list(expected.items())
         assert blocks.random() == choice.random()
+
+
+def _signed_zero_state(n: int, rng: np.random.Generator) -> StateVector:
+    """A random state whose amplitudes include -0.0 real and imaginary parts."""
+    real, imag = rng.normal(size=(2, 2**n))
+    zeros = rng.integers(3, size=2**n)  # never both parts of one amplitude
+    real[zeros == 1] = -0.0
+    imag[zeros == 2] = -0.0
+    norm = np.sqrt(np.sum(real**2 + imag**2))
+    amplitudes = np.empty(2**n, dtype=complex)
+    # Set each part alone: complex arithmetic would turn some -0.0 into 0.0.
+    amplitudes.real, amplitudes.imag = real / norm, imag / norm
+    return StateVector(n, amplitudes)
+
+
+def _reshaped_halves(amplitudes: np.ndarray, n: int, qubit: int, control: int | None):
+    view = amplitudes.reshape([2] * n)
+    index: list[slice | int] = [slice(None)] * n
+    if control is not None:
+        index[n - 1 - control] = 1
+    index[n - 1 - qubit] = 0
+    zero = view[(*index, ...)]
+    index[n - 1 - qubit] = 1
+    return zero, view[(*index, ...)]
+
+
+def _layout(view: np.ndarray):
+    return view.__array_interface__["data"][0], view.shape, view.strides
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cached_halves_are_the_reshaped_views(n):
+    state = zero_state(n)
+    for qubit in range(n):
+        for control in [None, *(c for c in range(n) if c != qubit)]:
+            halves = statevector._halves(state, qubit, control)
+            expected = _reshaped_halves(state.amplitudes, n, qubit, control)
+            assert list(map(_layout, halves)) == list(map(_layout, expected))
+            assert all(half.base is not None for half in halves)  # views, not copies
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_measurement_kernels_match_the_numpy_formulas_bit_for_bit(n):
+    rng = np.random.default_rng(700 + n)
+    for _ in range(4):
+        state = _signed_zero_state(n, rng)
+        assert np.signbit(state.amplitudes.real).any() or np.signbit(state.amplitudes.imag).any()
+        for qubit in range(n):
+            one = _reshaped_halves(state.amplitudes, n, qubit, None)[1]
+            expected = float(np.sum(np.abs(one) ** 2))
+            assert statevector._p_one(state, qubit).hex() == expected.hex()
+            for outcome in (0, 1):
+                projected = state.copy()
+                statevector._project(projected, qubit, outcome)
+                kept = state.amplitudes.copy()
+                _reshaped_halves(kept, n, qubit, None)[1 - outcome][...] = 0.0
+                expected_amplitudes = kept / np.linalg.norm(kept)
+                assert projected.amplitudes.tobytes() == expected_amplitudes.tobytes()
 
 
 def test_uniform_sampling_within_3_sigma():
