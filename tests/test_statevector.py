@@ -266,7 +266,8 @@ def test_sample_counts_equal_one_choice_call(shots):
 def _signed_zero_state(n: int, rng: np.random.Generator) -> StateVector:
     """A random state whose amplitudes include -0.0 real and imaginary parts."""
     real, imag = rng.normal(size=(2, 2**n))
-    zeros = rng.integers(3, size=2**n)  # never both parts of one amplitude
+    # At least one of each, and never both parts of one amplitude.
+    zeros = rng.permutation(np.resize([1, 2, 0], 2**n))
     real[zeros == 1] = -0.0
     imag[zeros == 2] = -0.0
     norm = np.sqrt(np.sum(real**2 + imag**2))
@@ -307,7 +308,8 @@ def test_measurement_kernels_match_the_numpy_formulas_bit_for_bit(n):
     rng = np.random.default_rng(700 + n)
     for _ in range(4):
         state = _signed_zero_state(n, rng)
-        assert np.signbit(state.amplitudes.real).any() or np.signbit(state.amplitudes.imag).any()
+        for part in (state.amplitudes.real, state.amplitudes.imag):
+            assert (np.signbit(part) & (part == 0)).any()
         for qubit in range(n):
             one = _reshaped_halves(state.amplitudes, n, qubit, None)[1]
             expected = float(np.sum(np.abs(one) ** 2))
