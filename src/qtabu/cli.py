@@ -225,9 +225,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    routed = _route_circuit(args)
+    # Serialized before --out is opened, so a circuit the dialect cannot
+    # hold leaves no file behind.
+    text = serialize(_route_circuit(args))
     with _out_stream(args) as out:
-        out.write(serialize(routed))
+        out.write(text)
     return 0
 
 

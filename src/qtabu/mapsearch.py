@@ -76,11 +76,8 @@ class MapSearchProblem:
                 f"{len(self.candidate_edges)} candidate edges exceed the limit of "
                 f"{MAX_CANDIDATE_EDGES}"
             )
-        for a, b in self.candidate_edges:
-            if a < 0 or b < 0:
-                raise ValueError(f"candidate edge ({a}, {b}) has a negative endpoint")
-        # CouplingMap rejects self-loops and duplicates.
-        CouplingMap(1 + max(map(max, self.candidate_edges)), self.candidate_edges)
+        # CouplingMap rejects negative endpoints, self-loops and duplicates.
+        CouplingMap.spanning(self.candidate_edges)
         if self.edge_budget < 0:
             raise ValueError("edge_budget must be >= 0")
 
@@ -95,7 +92,7 @@ def all_directed_pairs(n_physical: int) -> tuple[tuple[int, int], ...]:
 def derive_knapsack(problem: MapSearchProblem) -> KnapsackInstance:
     """Translate edge selection into a knapsack instance (one item per edge)."""
     profits = tuple(
-        support_score(problem.circuit, CouplingMap(1 + max(edge), (edge,)))
+        support_score(problem.circuit, CouplingMap.spanning((edge,)))
         for edge in problem.candidate_edges
     )
     weights = (1.0,) * len(problem.candidate_edges)
@@ -112,14 +109,8 @@ def decode(bits: Sequence[int], problem: MapSearchProblem) -> CouplingMap:
         raise ValueError(
             f"expected {len(problem.candidate_edges)} bits, got {len(bits)}"
         )
-    edges = tuple(
-        edge for edge, bit in zip(problem.candidate_edges, bits) if bit
-    )
-    n_physical = max(
-        problem.circuit.n_qubits,
-        1 + max((max(a, b) for a, b in edges), default=-1),
-    )
-    return CouplingMap(n_physical, edges)
+    edges = [edge for edge, bit in zip(problem.candidate_edges, bits) if bit]
+    return CouplingMap.spanning(edges, problem.circuit.n_qubits)
 
 
 def support_score(circuit: Program, cmap: CouplingMap) -> float:

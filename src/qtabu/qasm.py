@@ -30,6 +30,9 @@ from .statevector import Gate, GateOp, MeasureOp
 
 # Largest register ``qreg``/``creg`` may declare.
 MAX_REGISTER_SIZE = 4096
+# Numbers past this many digits, leading zeros aside, read as 10**_MAX_DIGITS:
+# out of every range here, and int() refuses a run of over 4,300 digits.
+_MAX_DIGITS = 20
 
 _ONE_QUBIT_GATES = {"x": Gate.X, "z": Gate.Z, "h": Gate.H}
 _KEYWORDS = {"qreg", "creg", "measure", "if", "cx", *_ONE_QUBIT_GATES}
@@ -115,7 +118,15 @@ class _Parser:
         got = self.next()
         if not got.isdigit():
             raise self.error("syntax", f"expected {what}, got {got!r}")
-        return int(got)
+        digits = got.lstrip("0")
+        return int(digits or "0") if len(digits) <= _MAX_DIGITS else 10**_MAX_DIGITS
+
+    def number(self, at: int) -> str:
+        """The number at token index ``at`` as a message shows it."""
+        digits = self.tokens[at].lstrip("0") or "0"
+        if len(digits) <= _MAX_DIGITS:
+            return digits
+        return f"{digits[:_MAX_DIGITS]}... ({len(digits)} digits)"
 
     def parse(self) -> Program:
         while self.pos < len(self.tokens):
@@ -170,7 +181,9 @@ class _Parser:
         size = self.expect_int("register size")
         self.expect("]")
         if size > MAX_REGISTER_SIZE:
-            message = f"{keyword} size {size} exceeds the limit of {MAX_REGISTER_SIZE}"
+            message = (
+                f"{keyword} size {self.number(size_at)} exceeds the limit of {MAX_REGISTER_SIZE}"
+            )
             raise self.error("range", message, size_at)
         self.expect(";")
         if name == "q":
@@ -209,9 +222,8 @@ class _Parser:
         index = self.expect_int(f"{what} index")
         self.expect("]")
         if index >= size:
-            raise self.error(
-                "range", f"{what} index {index} out of range (register size {size})", index_at
-            )
+            message = f"{what} index {self.number(index_at)} out of range (register size {size})"
+            raise self.error("range", message, index_at)
         return index
 
     def qubit_operand(self) -> int:
@@ -266,9 +278,13 @@ def _require(valid: bool, what: str) -> None:
 def serialize(program: Program) -> str:
     """Render a program in canonical text form, one statement per line.
 
-    Raises ValueError for programs the dialect cannot express (conditions
-    with value != 1 or on gates other than x/z, out-of-range indices).
+    Raises ValueError for programs the dialect cannot express (registers
+    past ``MAX_REGISTER_SIZE``, conditions with value != 1 or on gates other
+    than x/z, out-of-range indices).
     """
+    for keyword, size in (("qreg", program.n_qubits), ("creg", program.n_cbits)):
+        _require(size <= MAX_REGISTER_SIZE,
+                 f"{keyword} size {size} exceeds the limit of {MAX_REGISTER_SIZE}")
     lines = [f"qreg q[{program.n_qubits}];", f"creg c[{program.n_cbits}];"]
     for ins in program.instructions:
         if isinstance(ins, MeasureOp):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .qasm import Program
@@ -30,7 +31,7 @@ class MapFormatError(ValueError):
 
 @dataclass(frozen=True)
 class CouplingMap:
-    """Directed connectivity over ``n_physical`` qubits."""
+    """Directed connectivity over ``n_physical`` qubits; the first faulty edge is reported."""
 
     n_physical: int
     edges: tuple[tuple[int, int], ...]
@@ -39,15 +40,23 @@ class CouplingMap:
         seen: set[tuple[int, int]] = set()
         for edge in self.edges:
             a, b = edge
+            if a < 0 or b < 0:
+                raise MapFormatError(f"edge {list(edge)} has a negative endpoint")
             if a == b:
                 raise MapFormatError(f"self-loop edge {list(edge)}")
-            if not (0 <= a < self.n_physical and 0 <= b < self.n_physical):
+            if a >= self.n_physical or b >= self.n_physical:
                 raise MapFormatError(
                     f"edge {list(edge)} out of range for {self.n_physical} physical qubits"
                 )
             if edge in seen:
                 raise MapFormatError(f"duplicate edge {list(edge)}")
             seen.add(edge)
+
+    @classmethod
+    def spanning(cls, edges: Sequence[tuple[int, int]], n_physical: int = 0) -> CouplingMap:
+        """The map over ``edges``, ``n_physical`` qubits wide or one past the
+        highest endpoint, whichever is more."""
+        return cls(max(n_physical, 1 + max(map(max, edges), default=-1)), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -87,11 +96,8 @@ def parse_coupling_map(text: str) -> CouplingMap:
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
         ):
             raise MapFormatError(f"edge {item!r} is not a pair of integers")
-        if item[0] < 0 or item[1] < 0:
-            raise MapFormatError(f"edge {item} has a negative endpoint")
         edges.append((item[0], item[1]))
-    n_physical = 1 + max((max(a, b) for a, b in edges), default=-1)
-    return CouplingMap(n_physical, tuple(edges))
+    return CouplingMap.spanning(edges)
 
 
 def _undirected_adjacency(cmap: CouplingMap) -> dict[int, list[int]]:
@@ -126,14 +132,23 @@ def _shortest_path(adjacency: dict[int, list[int]], src: int, dst: int) -> list[
     return path
 
 
+def _orientation(edges: set[tuple[int, int]], control: int, target: int) -> str | None:
+    """How cx ``control, target`` sits on a map with edge set ``edges``:
+    ``"direct"`` on an edge, ``"reversed"`` on its reverse, else None."""
+    if (control, target) in edges:
+        return "direct"
+    if (target, control) in edges:
+        return "reversed"
+    return None
+
+
 class _Router:
     def __init__(self, program: Program, cmap: CouplingMap) -> None:
-        self.cmap = cmap
         self.edges = set(cmap.edges)
         self.adjacency = _undirected_adjacency(cmap)
         self.out: list[GateOp | MeasureOp] = []
-        self.direct = 0
-        self.reversed = 0
+        # How many original cx gates landed direct and reversed.
+        self.counts = {"direct": 0, "reversed": 0}
         self.swaps = 0
         # Logical wire i starts on physical qubit i; remaining physical
         # qubits are idle ancillas, missing from ``p2l`` or mapped to -1.
@@ -142,16 +157,17 @@ class _Router:
 
     def emit_cx(self, control: int, target: int, condition: tuple[int, int] | None) -> str:
         """Emit a cx between adjacent physical qubits, reversing if needed."""
-        if (control, target) in self.edges:
+        kind = _orientation(self.edges, control, target)
+        if kind == "direct":
             self.out.append(GateOp(Gate.CX, target, control=control, condition=condition))
-            return "direct"
-        assert (target, control) in self.edges
+            return kind
+        assert kind == "reversed"
         for qubit in (control, target):
             self.out.append(GateOp(Gate.H, qubit, condition=condition))
         self.out.append(GateOp(Gate.CX, control, control=target, condition=condition))
         for qubit in (control, target):
             self.out.append(GateOp(Gate.H, qubit, condition=condition))
-        return "reversed"
+        return kind
 
     def emit_swap(self, a: int, b: int) -> None:
         self.emit_cx(a, b, None)
@@ -169,7 +185,7 @@ class _Router:
         assert op.control is not None
         control = self.l2p[op.control]
         target = self.l2p[op.target]
-        if (control, target) not in self.edges and (target, control) not in self.edges:
+        if _orientation(self.edges, control, target) is None:
             path = _shortest_path(self.adjacency, control, target)
             if path is None:
                 raise RoutingError(
@@ -179,11 +195,7 @@ class _Router:
             for hop in path[1:-1]:
                 self.emit_swap(control, hop)
                 control = hop
-        kind = self.emit_cx(control, target, op.condition)
-        if kind == "direct":
-            self.direct += 1
-        else:
-            self.reversed += 1
+        self.counts[self.emit_cx(control, target, op.condition)] += 1
 
 
 def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingReport]:
@@ -217,8 +229,8 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
     inserted = len(router.out) - len(program.instructions)
     routed = Program(cmap.n_physical, program.n_cbits, router.out)
     report = RoutingReport(
-        router.direct,
-        router.reversed,
+        router.counts["direct"],
+        router.counts["reversed"],
         router.swaps,
         inserted,
         tuple(router.l2p),
@@ -233,15 +245,9 @@ def direct_support_count(program: Program, cmap: CouplingMap) -> tuple[int, int,
     program's qubit indices as physical positions.
     """
     edges = set(cmap.edges)
-    direct = reversed_ = unsupported = 0
+    counts = {"direct": 0, "reversed": 0, None: 0}
     for ins in program.instructions:
-        if not isinstance(ins, GateOp) or ins.kind is not Gate.CX:
-            continue
-        assert ins.control is not None
-        if (ins.control, ins.target) in edges:
-            direct += 1
-        elif (ins.target, ins.control) in edges:
-            reversed_ += 1
-        else:
-            unsupported += 1
-    return direct, reversed_, unsupported
+        if isinstance(ins, GateOp) and ins.kind is Gate.CX:
+            assert ins.control is not None
+            counts[_orientation(edges, ins.control, ins.target)] += 1
+    return counts["direct"], counts["reversed"], counts[None]

@@ -236,6 +236,24 @@ def test_route_without_map_is_identity(tmp_path, capsys):
     assert "# direct=1 reversed=0 swaps=0 inserted=0" in err
 
 
+def test_route_refuses_a_circuit_its_parser_would_reject(tmp_path, capsys):
+    # Routed onto this map the circuit spans 5,001 qubits, past the qreg limit.
+    circuit = str(resources.files("qtabu").joinpath("assets/teleport.qasm"))
+    cmap = write(tmp_path, "map.txt", "[[1, 2], [0, 1], [2, 5000]]")
+    out_path = tmp_path / "routed.qasm"
+    code, out, err = run_cli(capsys, ["route", circuit, "--map", cmap, "--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+    assert err.endswith(
+        "parse error: program is not serializable: qreg size 5001 exceeds the limit of 4096\n"
+    )
+    # simulate compacts the routed circuit onto the qubits it touches.
+    code, out, _ = run_cli(capsys, ["simulate", circuit, "--map", cmap, "--seed", "1"])
+    assert code == 0
+    assert out.startswith("bitstring,count,probability\n")
+
+
 def test_qts_trace_and_summary(tmp_path, capsys):
     instance = write(tmp_path, "inst.txt", TINY_INSTANCE)
     code, out, err = run_cli(
@@ -406,8 +424,10 @@ def test_exit_code_parse_error_unknown_gate(tmp_path, capsys):
     [
         ("qreg q[99999999999999999999]; creg c[1];\n", "1:8: range: qreg size"),
         ("qreg q[1];\ncreg c[300000000];\nmeasure q[0] -> c[0];\n", "2:8: range: creg size"),
+        # Past the 4,300 digits int() accepts.
+        (f"qreg q[1{'0' * 5000}]; creg c[1];\n", "1:8: range: qreg size 1" + "0" * 19 + "..."),
     ],
-    ids=["huge-qreg", "huge-creg"],
+    ids=["huge-qreg", "huge-creg", "longer-than-int-parses"],
 )
 def test_exit_code_parse_error_register_too_large(tmp_path, capsys, text, position):
     circuit = write(tmp_path, "big.qasm", text)

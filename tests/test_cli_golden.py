@@ -6,7 +6,7 @@ every summary line is part of the digest. The digests were recorded from
 the simulator that ran every shot on all routed physical qubits, and the
 ``search-map`` digest from a search over the profit-bearing candidate
 edges alone; a deliberate change to seeded output re-records them and says
-so in CHANGES.md.
+so in CHANGES.md. The ``--help`` digests pin every help text at 80 columns.
 """
 
 from __future__ import annotations
@@ -94,3 +94,24 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
     captured = capsys.readouterr()
     payload = f"{code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+HELP_DIGESTS = {
+    "qtabu": "6084f4f96ced15682601372b58a890ec8552f5e3f100fcee67414004f518d51f",
+    "simulate": "8e0de358f108e4d005ceb25b3475a8d859af25c2a36e9d030e4fbf597f5d388a",
+    "route": "f09309be8cdf39a8e4b710acf7049b30f3365fbe3210513f96de320d0c54443f",
+    "qts": "4d62736db3c63587406511886a24f910ffdbb29c1461e23c79dccabd8e32eb09",
+    "search-map": "ed1b801ab60ab80c081b1d89d429ba0acb689469bbca9b579f9b0b36f8ac7d6d",
+    "bench-teleport": "48eb77256c01ab0833150211ea4f6b4545e70ed1fac6e0067e3f28675d7ab25b",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_matches_golden(command, capsys, monkeypatch):
+    # argparse wraps help text to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command == "qtabu" else [command, "--help"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    payload = f"{code}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
+    assert hashlib.sha256(payload.encode()).hexdigest() == HELP_DIGESTS[command]

@@ -150,6 +150,25 @@ def test_register_size_bound():
     assert (err.line, err.column, err.kind) == (1, 8, "range")
 
 
+def test_numbers_of_any_length():
+    # A run past the 4,300 digits int() accepts fails like a 5-digit number.
+    big = "9" * 5000
+    for number, shown in ((big, "9" * 20 + "... (5000 digits)"), ("99999", "99999")):
+        err = _error(f"qreg q[{number}]; creg c[1];")
+        assert str(err) == f"1:8: range: qreg size {shown} exceeds the limit of 4096"
+        err = _error(f"qreg q[2]; creg c[1]; x q[{number}];")
+        assert str(err) == f"1:27: range: qubit index {shown} out of range (register size 2)"
+        err = _error(f"qreg q[1]; creg c[1]; if(c[0]=={number}) x q[0];")
+        assert str(err) == "1:32: syntax: condition value must be 1"
+        err = _error(f"qreg q[{number};")
+        assert (err.kind, err.message) == ("syntax", "expected ']', got ';'")
+    # Leading zeros, however many, still parse.
+    for zeros in ("000", "0" * 5000):
+        program = parse(f"qreg q[{zeros}2]; creg c[{zeros}]; x q[{zeros}1];")
+        assert (program.n_qubits, program.n_cbits) == (2, 0)
+        assert program.instructions == [GateOp(Gate.X, 1)]
+
+
 def test_error_positions_inside_source():
     for source in ("qreg q[1]; creg c[0]; x q[9];", "qreg q[1]", "qreg q[1]; creg c[0]; x"):
         err = _error(source)
@@ -174,6 +193,11 @@ def test_serialize_rejects_inexpressible():
         serialize(Program(1, 1, [GateOp(Gate.X, 0, condition=(0, 0))]))
     with pytest.raises(ValueError, match="out of range"):
         serialize(Program(1, 0, [GateOp(Gate.X, 3)]))
+    for n_qubits, n_cbits, keyword in ((4097, 0, "qreg"), (1, 4097, "creg")):
+        with pytest.raises(ValueError, match=f"{keyword} size 4097 exceeds the limit of 4096"):
+            serialize(Program(n_qubits, n_cbits, []))
+    largest = serialize(Program(MAX_REGISTER_SIZE, MAX_REGISTER_SIZE, []))
+    assert parse(largest) == Program(MAX_REGISTER_SIZE, MAX_REGISTER_SIZE, [])
 
 
 def _random_program(rng: np.random.Generator) -> Program:

@@ -55,6 +55,30 @@ def test_parse_coupling_map_rejects_malformed():
 def test_coupling_map_invariants():
     with pytest.raises(MapFormatError, match="out of range"):
         CouplingMap(2, ((0, 3),))
+    with pytest.raises(MapFormatError, match=r"edge \[0, -1\] has a negative endpoint"):
+        CouplingMap(3, ((0, -1),))
+    with pytest.raises(MapFormatError, match=r"edge \[-1, -1\] has a negative endpoint"):
+        CouplingMap(3, ((-1, -1),))
+
+
+def test_coupling_map_reports_the_first_faulty_edge():
+    with pytest.raises(MapFormatError, match=r"self-loop edge \[1, 1\]"):
+        parse_coupling_map("[[1,1],[0,-1]]")
+    with pytest.raises(MapFormatError, match=r"edge \[0, -1\] has a negative endpoint"):
+        parse_coupling_map("[[0,-1],[1,1]]")
+    with pytest.raises(MapFormatError, match=r"duplicate edge \[0, 1\]"):
+        CouplingMap(2, ((0, 1), (0, 1), (0, 5)))
+
+
+def test_spanning_width():
+    assert CouplingMap.spanning([(0, 1), (3, 2)]) == CouplingMap(4, ((0, 1), (3, 2)))
+    assert CouplingMap.spanning([(0, 1)], n_physical=5) == CouplingMap(5, ((0, 1),))
+    assert CouplingMap.spanning([(0, 6)], n_physical=5).n_physical == 7
+    assert CouplingMap.spanning([]) == CouplingMap(0, ())
+    assert CouplingMap.spanning((), n_physical=3) == CouplingMap(3, ())
+    for edges in ([(0, -1)], [(-2, -1)], [(5, 1), (-1, 0)]):
+        with pytest.raises(MapFormatError, match="negative endpoint"):
+            CouplingMap.spanning(edges)
 
 
 def test_route_none_is_identity():
@@ -215,6 +239,25 @@ def test_direct_support_count_reference_maps():
     assert direct_support_count(teleport, CouplingMap(3, ())) == (0, 0, 2)
     reversed_only = CouplingMap(3, ((2, 1), (1, 0)))
     assert direct_support_count(teleport, reversed_only) == (0, 2, 0)
+
+
+def test_route_counts_match_direct_support_on_supported_programs():
+    """Whenever every cx already sits on an edge, routing inserts no swap
+    and classifies each cx as ``direct_support_count`` does."""
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for _ in range(400):
+        n_physical = int(rng.integers(2, 6))
+        cmap = random_connected_map(rng, n_physical)
+        program = random_gate_program(rng, int(rng.integers(2, n_physical + 1)), max_gates=6)
+        direct, reversed_, unsupported = direct_support_count(program, cmap)
+        if unsupported:
+            continue
+        _, report = route(program, cmap)
+        assert (report.direct_count, report.reversed_count) == (direct, reversed_)
+        assert report.swap_count == 0
+        checked += 1
+    assert checked >= 300
 
 
 def test_program_unitary_oracle_sanity():
