@@ -30,7 +30,7 @@ from .mapsearch import (
     search_best_map,
 )
 from .qasm import Program, QasmParseError, compact, parse, serialize
-from .routing import MapFormatError, RoutingError, parse_coupling_map, route
+from .routing import RoutingError, parse_coupling_map, route
 from .statevector import (
     MAX_QUBITS,
     MeasureOp,
@@ -45,21 +45,31 @@ from .statevector import (
 from .tabu import PopulationMode, SearchConfig, parse_instance, qts_run
 
 
-class _UsageError(Exception):
-    pass
+class _Failure(Exception):
+    """A failure ``main`` reports as ``<label>: <message>``, exiting ``code``."""
+
+    def __init__(self, label: str, code: int, message: str) -> None:
+        super().__init__(message)
+        self.label = label
+        self.code = code
 
 
-class _TooWideError(Exception):
-    pass
+@contextmanager
+def _stage(label: str):
+    """Report a ``ValueError`` raised inside as a ``label`` failure, exit code 2.
 
-
-class _EngineError(Exception):
-    pass
+    Input text is parsed before any stage runs, so a ``ValueError`` here
+    belongs to the stage, not to the text.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise _Failure(label, 2, str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise _Failure("usage error", 1, message)
 
 
 def _positive_int(text: str) -> int:
@@ -185,27 +195,18 @@ def _search_config(args: argparse.Namespace, seed: int) -> SearchConfig:
     )
 
 
-@contextmanager
-def _engine_errors():
-    """Report a ``ValueError`` from the search engine as an engine error.
-
-    Instance and map text is parsed before the engine runs, so a
-    ``ValueError`` here rejects settings, not text.
-    """
-    try:
-        yield
-    except ValueError as exc:
-        raise _EngineError(str(exc)) from exc
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     routed = _route_circuit(args)
     # Qubits no instruction touches stay in |0> and change no outcome.
     program, qubits = compact(routed)
     if program.n_qubits > MAX_QUBITS:
-        raise _TooWideError(f"the circuit touches {program.n_qubits} qubits; "
-                            f"the simulator holds at most {MAX_QUBITS}")
+        raise _Failure(
+            "simulate error",
+            2,
+            f"the circuit touches {program.n_qubits} qubits; "
+            f"the simulator holds at most {MAX_QUBITS}",
+        )
     rng = np.random.default_rng(seed)
     if any(isinstance(ins, MeasureOp) for ins in program.instructions):
         counts = shot_counts(program, args.shots, rng)
@@ -225,9 +226,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_route(args: argparse.Namespace) -> int:
+    routed = _route_circuit(args)
     # Serialized before --out is opened, so a circuit the dialect cannot
     # hold leaves no file behind.
-    text = serialize(_route_circuit(args))
+    with _stage("serialize error"):
+        text = serialize(routed)
     with _out_stream(args) as out:
         out.write(text)
     return 0
@@ -236,7 +239,7 @@ def cmd_route(args: argparse.Namespace) -> int:
 def cmd_qts(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     instance = parse_instance(_read(args.instance))
-    with _engine_errors():
+    with _stage("engine error"):
         result = qts_run(instance, _search_config(args, seed))
     with _out_stream(args) as out:
         print("iteration,current_eval,best_eval", file=out)
@@ -260,31 +263,30 @@ def cmd_search_map(args: argparse.Namespace) -> int:
         # Checked before the pairs are built, so a huge count costs nothing.
         n_pairs = n_physical * (n_physical - 1)
         if n_pairs > MAX_CANDIDATE_EDGES:
-            raise _UsageError(
+            raise _Failure(
+                "usage error",
+                1,
                 f"{n_physical} physical qubits give {n_pairs} candidate edges "
-                f"(limit {MAX_CANDIDATE_EDGES}); pass --candidates with an explicit pair list"
+                f"(limit {MAX_CANDIDATE_EDGES}); pass --candidates with an explicit pair list",
             )
         candidates = all_directed_pairs(n_physical)
     problem = MapSearchProblem(program, candidates, args.budget)
     # Every run finishes before any output, so an engine error writes nothing.
-    rows = []
-    best = None
+    runs = []
     for run in range(args.runs):
-        run_seed = seed + run
-        with _engine_errors():
-            scored = search_best_map(problem, _search_config(args, run_seed))
-        search = scored.search
-        rows.append(
-            f"{run},{run_seed},{scored.score!r},"
-            f"{search.best_iteration},{search.iterations_run}"
-        )
-        if best is None or scored.score > best.score:
-            best = scored
-    assert best is not None
+        with _stage("engine error"):
+            runs.append(search_best_map(problem, _search_config(args, seed + run)))
+    # The first run with the highest score wins.
+    best = max(runs, key=lambda scored: scored.score)
     with _out_stream(args) as out:
         print("run,seed,best_score,best_iteration,iterations_run", file=out)
-        for row in rows:
-            print(row, file=out)
+        for run, scored in enumerate(runs):
+            search = scored.search
+            print(
+                f"{run},{seed + run},{scored.score!r},"
+                f"{search.best_iteration},{search.iterations_run}",
+                file=out,
+            )
     print(json.dumps([list(edge) for edge in best.map.edges]))
     print(f"score={best.score!r}")
     return 0
@@ -332,17 +334,14 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (_UsageError, OSError) as exc:
+    except _Failure as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.code
+    except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (QasmParseError, MapFormatError, ValueError) as exc:
+    except (QasmParseError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except _EngineError as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return 2
-    except _TooWideError as exc:
-        print(f"simulate error: {exc}", file=sys.stderr)
         return 2
     except RoutingError as exc:
         print(f"routing error: {exc}", file=sys.stderr)

@@ -142,62 +142,6 @@ def _orientation(edges: set[tuple[int, int]], control: int, target: int) -> str 
     return None
 
 
-class _Router:
-    def __init__(self, program: Program, cmap: CouplingMap) -> None:
-        self.edges = set(cmap.edges)
-        self.adjacency = _undirected_adjacency(cmap)
-        self.out: list[GateOp | MeasureOp] = []
-        # How many original cx gates landed direct and reversed.
-        self.counts = {"direct": 0, "reversed": 0}
-        self.swaps = 0
-        # Logical wire i starts on physical qubit i; remaining physical
-        # qubits are idle ancillas, missing from ``p2l`` or mapped to -1.
-        self.l2p = list(range(program.n_qubits))
-        self.p2l = {i: i for i in range(program.n_qubits)}
-
-    def emit_cx(self, control: int, target: int, condition: tuple[int, int] | None) -> str:
-        """Emit a cx between adjacent physical qubits, reversing if needed."""
-        kind = _orientation(self.edges, control, target)
-        if kind == "direct":
-            self.out.append(GateOp(Gate.CX, target, control=control, condition=condition))
-            return kind
-        assert kind == "reversed"
-        for qubit in (control, target):
-            self.out.append(GateOp(Gate.H, qubit, condition=condition))
-        self.out.append(GateOp(Gate.CX, control, control=target, condition=condition))
-        for qubit in (control, target):
-            self.out.append(GateOp(Gate.H, qubit, condition=condition))
-        return kind
-
-    def emit_swap(self, a: int, b: int) -> None:
-        self.emit_cx(a, b, None)
-        self.emit_cx(b, a, None)
-        self.emit_cx(a, b, None)
-        self.swaps += 1
-        la, lb = self.p2l.get(a, -1), self.p2l.get(b, -1)
-        self.p2l[a], self.p2l[b] = lb, la
-        if la != -1:
-            self.l2p[la] = b
-        if lb != -1:
-            self.l2p[lb] = a
-
-    def route_cx(self, op: GateOp) -> None:
-        assert op.control is not None
-        control = self.l2p[op.control]
-        target = self.l2p[op.target]
-        if _orientation(self.edges, control, target) is None:
-            path = _shortest_path(self.adjacency, control, target)
-            if path is None:
-                raise RoutingError(
-                    f"no path between physical qubits {control} and {target}"
-                )
-            # Walk the control toward the target, stopping one hop short.
-            for hop in path[1:-1]:
-                self.emit_swap(control, hop)
-                control = hop
-        self.counts[self.emit_cx(control, target, op.condition)] += 1
-
-
 def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingReport]:
     """Rewrite a program for a coupling map; return (routed program, report).
 
@@ -216,26 +160,61 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
         raise RoutingError(
             f"program uses {program.n_qubits} qubits, map has {cmap.n_physical}"
         )
-    router = _Router(program, cmap)
+    edges = set(cmap.edges)
+    adjacency = _undirected_adjacency(cmap)
+    out: list[GateOp | MeasureOp] = []
+    # How many original cx gates landed direct and reversed.
+    counts = {"direct": 0, "reversed": 0}
+    swaps = 0
+    # Logical wire i starts on physical qubit i; the other physical qubits
+    # are idle ancillas, missing from ``p2l``.
+    l2p = list(range(program.n_qubits))
+    p2l = {i: i for i in range(program.n_qubits)}
+
+    def emit_cx(control: int, target: int, condition: tuple[int, int] | None) -> str:
+        """Emit a cx between adjacent physical qubits, reversing if needed."""
+        kind = _orientation(edges, control, target)
+        if kind == "direct":
+            out.append(GateOp(Gate.CX, target, control=control, condition=condition))
+            return kind
+        assert kind == "reversed"
+        hadamards = [GateOp(Gate.H, qubit, condition=condition) for qubit in (control, target)]
+        out.extend([*hadamards, GateOp(Gate.CX, control, control=target, condition=condition)])
+        out.extend(hadamards)
+        return kind
+
     for ins in program.instructions:
         if isinstance(ins, MeasureOp):
-            router.out.append(MeasureOp(router.l2p[ins.qubit], ins.cbit))
-        elif ins.kind is Gate.CX:
-            router.route_cx(ins)
-        else:
-            router.out.append(
-                GateOp(ins.kind, router.l2p[ins.target], condition=ins.condition)
-            )
-    inserted = len(router.out) - len(program.instructions)
-    routed = Program(cmap.n_physical, program.n_cbits, router.out)
-    report = RoutingReport(
-        router.counts["direct"],
-        router.counts["reversed"],
-        router.swaps,
-        inserted,
-        tuple(router.l2p),
-    )
-    return routed, report
+            out.append(MeasureOp(l2p[ins.qubit], ins.cbit))
+            continue
+        if ins.kind is not Gate.CX:
+            out.append(GateOp(ins.kind, l2p[ins.target], condition=ins.condition))
+            continue
+        assert ins.control is not None
+        control = l2p[ins.control]
+        target = l2p[ins.target]
+        if _orientation(edges, control, target) is None:
+            path = _shortest_path(adjacency, control, target)
+            if path is None:
+                raise RoutingError(
+                    f"no path between physical qubits {control} and {target}"
+                )
+            # Swap the control toward the target, stopping one hop short.
+            # The control carries wire ins.control; the hop may be an ancilla.
+            for hop in path[1:-1]:
+                for a, b in ((control, hop), (hop, control), (control, hop)):
+                    emit_cx(a, b, None)
+                swaps += 1
+                other = p2l.pop(hop, None)
+                p2l[hop] = p2l.pop(control)
+                l2p[ins.control] = hop
+                if other is not None:
+                    p2l[control], l2p[other] = other, control
+                control = hop
+        counts[emit_cx(control, target, ins.condition)] += 1
+    inserted = len(out) - len(program.instructions)
+    report = RoutingReport(counts["direct"], counts["reversed"], swaps, inserted, tuple(l2p))
+    return Program(cmap.n_physical, program.n_cbits, out), report
 
 
 def direct_support_count(program: Program, cmap: CouplingMap) -> tuple[int, int, int]:

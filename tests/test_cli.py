@@ -246,7 +246,7 @@ def test_route_refuses_a_circuit_its_parser_would_reject(tmp_path, capsys):
     assert out == ""
     assert not out_path.exists()
     assert err.endswith(
-        "parse error: program is not serializable: qreg size 5001 exceeds the limit of 4096\n"
+        "serialize error: program is not serializable: qreg size 5001 exceeds the limit of 4096\n"
     )
     # simulate compacts the routed circuit onto the qubits it touches.
     code, out, _ = run_cli(capsys, ["simulate", circuit, "--map", cmap, "--seed", "1"])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ from oracles import (
     random_gate_program,
 )
 from qtabu.mapsearch import load_teleport, reference_map
-from qtabu.qasm import Program, parse
+from qtabu.qasm import Program, parse, serialize
 from qtabu.routing import (
     CouplingMap,
     MapFormatError,
@@ -175,17 +177,24 @@ def test_route_errors():
 
 
 def test_route_memory_follows_the_edges_not_the_highest_endpoint():
-    cmap = parse_coupling_map("[[1, 2], [0, 1], [2, 100000]]")
     program = load_teleport()
-    tracemalloc.start()
-    try:
-        routed, report = route(program, cmap)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    assert routed.n_qubits == 100_001
-    assert (report.direct_count, report.swap_count) == (2, 0)
+    for edges, swap_count, final_layout in (
+        ("[[1, 2], [0, 1], [2, 100000]]", 0, (0, 1, 2)),
+        # cx q[0],q[1] swaps logical 0 onto the ancilla 100000.
+        ("[[1, 2], [0, 100000], [100000, 1]]", 1, (100000, 1, 2)),
+    ):
+        cmap = parse_coupling_map(edges)
+        tracemalloc.start()
+        try:
+            routed, report = route(program, cmap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert routed.n_qubits == 100_001
+        assert report.direct_count == 2
+        assert report.swap_count == swap_count
+        assert report.final_layout == final_layout
 
 
 def test_route_without_cx_needs_no_connectivity():
@@ -258,6 +267,48 @@ def test_route_counts_match_direct_support_on_supported_programs():
         assert report.swap_count == 0
         checked += 1
     assert checked >= 300
+
+
+def _corpus_program(rng: np.random.Generator, n_qubits: int) -> Program:
+    """Random program with x/z/h, cx, measurements and conditioned x/z."""
+    n_cbits = int(rng.integers(1, 4))
+    instructions: list[GateOp | MeasureOp] = []
+    for _ in range(int(rng.integers(1, 21))):
+        roll = int(rng.integers(6))
+        qubit = int(rng.integers(n_qubits))
+        if roll < 2 and n_qubits >= 2:
+            control, target = (int(v) for v in rng.choice(n_qubits, size=2, replace=False))
+            instructions.append(GateOp(Gate.CX, target, control=control))
+        elif roll == 2:
+            instructions.append(MeasureOp(qubit, int(rng.integers(n_cbits))))
+        elif roll == 3:
+            kind = (Gate.X, Gate.Z)[int(rng.integers(2))]
+            instructions.append(GateOp(kind, qubit, condition=(int(rng.integers(n_cbits)), 1)))
+        else:
+            instructions.append(GateOp((Gate.X, Gate.Z, Gate.H)[int(rng.integers(3))], qubit))
+    return Program(n_qubits, n_cbits, instructions)
+
+
+def test_route_output_is_pinned_on_a_seeded_corpus():
+    """``serialize(routed)`` and the report for 300 seeded programs on
+    connected maps of up to 8 qubits, often wider than the program so swaps
+    pass through ancillas; the digest was recorded before the router became
+    one function and must not move."""
+    rng = np.random.default_rng(16)
+    lines = []
+    swaps = ancilla_layouts = 0
+    for _ in range(300):
+        n_physical = int(rng.integers(2, 9))
+        cmap = random_connected_map(rng, n_physical)
+        program = _corpus_program(rng, int(rng.integers(1, n_physical + 1)))
+        routed, report = route(program, cmap)
+        lines.append(serialize(routed))
+        lines.append(repr(dataclasses.astuple(report)))
+        swaps += report.swap_count
+        ancilla_layouts += max(report.final_layout, default=0) >= program.n_qubits
+    assert swaps >= 300 and ancilla_layouts >= 50
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "3f9eb48c1e7e6bf7d3a0d72e776590d34d1bd1af174a8e9611b08e811814b51f"
 
 
 def test_program_unitary_oracle_sanity():
