@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage (bad flags or unreadable files), 2 parse
 error (circuit, map, or instance text), engine settings the search rejects,
-or a circuit too wide to simulate, 3 routing error, 4 internal error.
+a circuit too wide to simulate, or a serialize error (a routed circuit too
+wide for the dialect), 3 routing error, 4 internal error.
 Every subcommand that draws random numbers echoes its effective seed to
 stderr as ``seed=<n>`` so any run can be reproduced; ``route`` is
 deterministic and echoes none. Byte-identical inputs and seed give

@@ -11,7 +11,10 @@ Those gates only ever act on qubits 0 and 1, so every other qubit keeps its
 prepared ``|+>`` or Bell-pair half for the whole run (the Q-bit individual
 of quantum-inspired evolutionary algorithms). ``Population`` stores a dense
 two-qubit head for the escapes and a fixed tail of those blocks, instead of
-one array of ``2**n_items`` amplitudes.
+one array of ``2**n_items`` amplitudes. Escapes step the head through a
+bounded, process-wide table of exact gate results (the next amplitudes and
+their sampling CDF, keyed by the head's bytes and the gate); the first run
+in a process fills it.
 
 Fitness is profit times a soft capacity penalty:
 
@@ -49,6 +52,17 @@ _BELL = np.array([_SQRT2_INV, 0.0, 0.0, _SQRT2_INV], dtype=complex)
 # Flip scores one run's neighbourhood cache may hold: about 4 MiB of Python
 # objects (some 60 bytes a score) at any number of items.
 CACHE_SCORES = 2**16
+# Gate steps the process-wide step table may hold: (head bytes, gate) ->
+# (next amplitudes, their normalized CDF), about 0.7 KiB an entry. Escapes
+# from a fresh population reach at most ten heads, so a few dozen are used.
+STEP_ENTRIES = 2**10
+# Widest head, in amplitudes, whose steps go through the table.
+_STEP_AMPLITUDES = 4
+_STEPS: dict[tuple[bytes, GateOp], tuple[np.ndarray, tuple[float, ...]]] = {}
+# The escape gates, built once: cx(0, 1), and h on qubit 1, or on qubit 0
+# when there is only one item (indexed by ``n_items >= 2``).
+_ESCAPE_CX = GateOp(Gate.CX, 1, control=0)
+_ESCAPE_H = (GateOp(Gate.H, 0), GateOp(Gate.H, 1))
 
 # A selection's value, the score of flipping each item, and the items
 # ranked by that score, best first with ties to the lowest index.
@@ -200,19 +214,46 @@ class Population:
         self.head = head
         self.tail = tail
         self.n_qubits = head.n_qubits + sum(tail)
-        # The head's normalized CDF, built on first use and dropped by apply.
-        self._cdf: list[float] | None = None
+        # The head's normalized CDF, built on first use or set by apply.
+        self._cdf: Sequence[float] | None = None
 
     def apply(self, op: GateOp) -> None:
-        """Apply one unconditioned gate to the head in place."""
+        """Apply one unconditioned gate to the head in place.
+
+        A head of up to four complex amplitudes takes its next amplitudes
+        and CDF from the step table: on a miss ``apply_gate`` runs on a copy
+        and the result is stored while the table has room. A hit writes the
+        stored amplitudes into the head's own array, so the step is the
+        kernel's, bit for bit. Any other head (a wide dense state, or real
+        amplitudes whose bytes could pass for a narrower complex head) runs
+        ``apply_gate`` in place.
+        """
+        if op.condition is not None:
+            raise ValueError(
+                f"population gates take no condition, got {op.kind.value} conditioned on"
+                f" classical bit {op.condition[0]} == {op.condition[1]}"
+            )
         for qubit in (op.target, op.control):
             if qubit is not None and not 0 <= qubit < self.head.n_qubits:
                 raise IndexError(
                     f"qubit {qubit} out of range for the {self.head.n_qubits}-qubit head"
                     f" of a {self.n_qubits}-qubit population"
                 )
-        apply_gate(self.head, op)
-        self._cdf = None
+        amps = self.head.amplitudes
+        if amps.size > _STEP_AMPLITUDES or amps.dtype != complex:
+            apply_gate(self.head, op)
+            self._cdf = None
+            return
+        key = (amps.tobytes(), op)
+        step = _STEPS.get(key)
+        if step is None:
+            head = apply_gate(self.head.copy(), op)
+            cdf = np.cumsum(probabilities(head))
+            step = head.amplitudes, tuple((cdf / cdf[-1]).tolist())
+            if len(_STEPS) < STEP_ENTRIES:
+                _STEPS[key] = step
+        amps[...] = step[0]
+        self._cdf = step[1]
 
     def sample(self, rng: np.random.Generator) -> CandidateSolution:
         """The basis state at a uniform ``u`` in [0, 1) of the dense inverse CDF.
@@ -370,10 +411,10 @@ def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
     """
     bits = state.best_solution
     if len(bits) >= 2 and bits[0] != bits[1]:
-        op = GateOp(Gate.CX, 1, control=0)
+        op = _ESCAPE_CX
         state.escapes_cx += 1
     else:
-        op = GateOp(Gate.H, 1 if len(bits) >= 2 else 0)
+        op = _ESCAPE_H[len(bits) >= 2]
         state.escapes_h += 1
     _as_population(state.population).apply(op)
     state.current = sample_candidate(state.population, rng)

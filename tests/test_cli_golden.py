@@ -97,7 +97,7 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
 
 
 HELP_DIGESTS = {
-    "qtabu": "6084f4f96ced15682601372b58a890ec8552f5e3f100fcee67414004f518d51f",
+    "qtabu": "4ea8dc5093c952643c4a0e19fc1913fc732c5c3b9815c26f6a913283cd66fa76",
     "simulate": "8e0de358f108e4d005ceb25b3475a8d859af25c2a36e9d030e4fbf597f5d388a",
     "route": "f09309be8cdf39a8e4b710acf7049b30f3365fbe3210513f96de320d0c54443f",
     "qts": "4d62736db3c63587406511886a24f910ffdbb29c1461e23c79dccabd8e32eb09",

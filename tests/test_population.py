@@ -4,11 +4,14 @@ The reference is the dense simulation: ``zero_state`` plus ``apply_gate``
 for the preparation gates and every later gate, sampled by the dense
 inverse CDF over all ``2**n`` basis states. Gates reach only the head
 (qubits 0 and 1); the tail keeps its prepared ``|+>`` and Bell blocks.
+Narrow heads step through the process-wide step table, whose entries are
+checked against a fresh ``apply_gate`` on a copy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,8 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import population_amplitudes
-from qtabu.statevector import Gate, GateOp, StateVector, apply_gate, zero_state
-from qtabu.tabu import Population, init_population, sample_candidate
+from qtabu import tabu
+from qtabu.statevector import Gate, GateOp, StateVector, apply_gate, probabilities, zero_state
+from qtabu.tabu import (
+    KnapsackInstance,
+    Population,
+    SearchConfig,
+    SearchState,
+    escape,
+    init_population,
+    qts_run,
+    sample_candidate,
+)
 
 MODES = ("with_replacement", "without_replacement")
 ESCAPE_GATES = (GateOp(Gate.CX, 1, control=0), GateOp(Gate.H, 1))
@@ -192,3 +205,121 @@ def test_every_qubit_of_a_wide_population_is_sampled_evenly(mode):
     ones = np.sum([sample_candidate(population, rng) for _ in range(2000)], axis=0)
     assert ones.shape == (120,)
     assert np.all((900 <= ones) & (ones <= 1100)), ones
+
+
+@pytest.fixture
+def steps(monkeypatch) -> dict:
+    """An empty step table for the test, the process's own put back after."""
+    table: dict = {}
+    monkeypatch.setattr(tabu, "_STEPS", table)
+    return table
+
+
+def kernel_step(head: StateVector, op: GateOp) -> tuple[bytes, list[str]]:
+    """``apply_gate`` on a copy of ``head``, and the normalized CDF of the result."""
+    stepped = apply_gate(head.copy(), op)
+    cdf = np.cumsum(probabilities(stepped))
+    return stepped.amplitudes.tobytes(), [float.hex(c) for c in (cdf / cdf[-1]).tolist()]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_step_table_entries_equal_the_kernel(mode, steps):
+    """Every head an escape can reach from a fresh population, walked to
+    closure under the escape gates, and each of its table entries."""
+    for n in (1, 2, 3):
+        gates = ESCAPE_GATES if n >= 2 else (GateOp(Gate.H, 0),)
+        start = init_population(n, mode).head
+        reached = {start.amplitudes.tobytes(): start}
+        frontier = [start]
+        while frontier:
+            head = frontier.pop()
+            for op in gates:
+                population = Population(head.copy())
+                population.apply(op)
+                amplitudes, cdf = steps[(head.amplitudes.tobytes(), op)]
+                expected = kernel_step(head, op)
+                assert (amplitudes.tobytes(), [float.hex(c) for c in cdf]) == expected
+                assert population.head.amplitudes.tobytes() == expected[0]
+                assert population._cdf is cdf
+                if expected[0] not in reached:
+                    reached[expected[0]] = population.head
+                    frontier.append(population.head)
+        assert len(reached) <= 10, (n, len(reached))
+
+
+def test_a_table_hit_writes_into_the_callers_state(steps):
+    """A dense state passed in changes in place on a hit, and changing it
+    afterwards leaves the stored entry alone."""
+    op = GateOp(Gate.H, 1)
+    first, second = zero_state(2), zero_state(2)
+    Population(first).apply(op)
+    assert len(steps) == 1
+    amplitudes = second.amplitudes
+    Population(second).apply(op)
+    expected = kernel_step(zero_state(2), op)[0]
+    assert second.amplitudes is amplitudes
+    assert amplitudes.tobytes() == first.amplitudes.tobytes() == expected
+    first.amplitudes[...] = second.amplitudes[...] = 0.0
+    third = zero_state(2)
+    Population(third).apply(op)
+    assert third.amplitudes.tobytes() == expected
+
+
+def test_heads_the_table_cannot_key_skip_it(steps):
+    """A dense 2**20 state is neither hashed nor stored: an escape on it
+    gives the kernel's bytes and adds no entry. Nor is a head of real
+    amplitudes, whose bytes could read as a narrower complex head."""
+    state = zero_state(20)
+    for qubit in range(20):
+        apply_gate(state, GateOp(Gate.H, qubit))
+    expected = apply_gate(state.copy(), GateOp(Gate.CX, 1, control=0)).amplitudes.tobytes()
+    search = SearchState(
+        population=state,
+        current=(0,) * 20,
+        best_solution=(1,) + (0,) * 19,
+        best_evaluation=0.0,
+        best_iteration=0,
+        iteration=21,
+        tabu_list=deque(maxlen=5),
+    )
+    escape(search, np.random.default_rng(16))
+    assert search.population is state
+    assert state.amplitudes.tobytes() == expected
+    assert len(steps) == 0
+
+    real = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0]))
+    Population(real).apply(GateOp(Gate.H, 0))
+    np.testing.assert_array_equal(real.amplitudes, [2**-0.5, 2**-0.5, 0.0, 0.0])
+    assert real.amplitudes.dtype == float
+    assert len(steps) == 0
+
+
+def test_population_rejects_conditioned_gates(steps):
+    """A conditioned gate is refused before the table is read, so it never
+    takes the entry of the plain gate."""
+    population = init_population(4)
+    population.apply(GateOp(Gate.X, 0))
+    before = population.head.amplitudes.tobytes()
+    with pytest.raises(ValueError, match=r"x conditioned on classical bit 0 == 1"):
+        population.apply(GateOp(Gate.X, 0, condition=(0, 1)))
+    assert population.head.amplitudes.tobytes() == before
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_runs_are_the_same_with_a_cold_warm_or_disabled_table(mode, steps, monkeypatch):
+    rng = np.random.default_rng(17)
+    for seed in range(4):
+        profits, weights = rng.uniform(0.5, 30.0, size=20), rng.uniform(0.1, 15.0, size=20)
+        instance = KnapsackInstance(tuple(profits), tuple(weights), float(weights.sum()) * 0.4)
+        config = SearchConfig(seed=seed, population_mode=mode)
+        steps.clear()
+        cold = repr(qts_run(instance, config))
+        assert steps
+        warm = repr(qts_run(instance, config))
+        with monkeypatch.context() as off:
+            off.setattr(tabu, "STEP_ENTRIES", 0)
+            off.setattr(tabu, "_STEPS", {})
+            disabled = repr(qts_run(instance, config))
+            assert len(tabu._STEPS) == 0
+        assert cold == warm == disabled
