@@ -11,10 +11,11 @@ Those gates only ever act on qubits 0 and 1, so every other qubit keeps its
 prepared ``|+>`` or Bell-pair half for the whole run (the Q-bit individual
 of quantum-inspired evolutionary algorithms). ``Population`` stores a dense
 two-qubit head for the escapes and a fixed tail of those blocks, instead of
-one array of ``2**n_items`` amplitudes. Escapes step the head through a
-bounded, process-wide table of exact gate results (the next amplitudes and
-their sampling CDF, keyed by the head's bytes and the gate); the first run
-in a process fills it.
+one array of ``2**n_items`` amplitudes. Every gate on a population takes
+one path: ``apply_gate`` on a copy of the head, written back into the head
+with the sampling CDF of the result. A head of up to four complex
+amplitudes first looks that step up in a bounded, process-wide table keyed
+by the head's bytes and the gate; the first run in a process fills it.
 
 Fitness is profit times a soft capacity penalty:
 
@@ -201,6 +202,12 @@ class SearchConfig:
     seed: int | None = None
 
 
+def _normalized_cdf(head: StateVector) -> tuple[float, ...]:
+    """The cumulative Born probabilities of ``head``, scaled to end at 1."""
+    cdf = np.cumsum(probabilities(head))
+    return tuple((cdf / cdf[-1]).tolist())
+
+
 class Population:
     """A dense ``head`` state over the lowest qubits and a fixed ``tail``.
 
@@ -213,44 +220,28 @@ class Population:
     def __init__(self, head: StateVector, tail: tuple[int, ...] = ()) -> None:
         self.head = head
         self.tail = tail
-        self.n_qubits = head.n_qubits + sum(tail)
-        # The head's normalized CDF, built on first use or set by apply.
-        self._cdf: Sequence[float] | None = None
+        self._cdf = _normalized_cdf(head)
 
     def apply(self, op: GateOp) -> None:
-        """Apply one unconditioned gate to the head in place.
+        """Apply one gate to the head in place.
 
-        A head of up to four complex amplitudes takes its next amplitudes
-        and CDF from the step table: on a miss ``apply_gate`` runs on a copy
-        and the result is stored while the table has room. A hit writes the
-        stored amplitudes into the head's own array, so the step is the
-        kernel's, bit for bit. Any other head (a wide dense state, or real
-        amplitudes whose bytes could pass for a narrower complex head) runs
-        ``apply_gate`` in place.
+        ``apply_gate`` runs on a copy of the head, and its amplitudes are
+        written into the head's own array, so the step is the kernel's, bit
+        for bit. A head of up to four complex amplitudes looks its step up
+        in the table first and stores it on a miss while the table has
+        room (a real head is not keyed: its bytes could pass for a narrower
+        complex head). The key holds the whole gate, and a gate
+        ``apply_gate`` rejects raises before the head or the table changes.
         """
-        if op.condition is not None:
-            raise ValueError(
-                f"population gates take no condition, got {op.kind.value} conditioned on"
-                f" classical bit {op.condition[0]} == {op.condition[1]}"
-            )
-        for qubit in (op.target, op.control):
-            if qubit is not None and not 0 <= qubit < self.head.n_qubits:
-                raise IndexError(
-                    f"qubit {qubit} out of range for the {self.head.n_qubits}-qubit head"
-                    f" of a {self.n_qubits}-qubit population"
-                )
         amps = self.head.amplitudes
-        if amps.size > _STEP_AMPLITUDES or amps.dtype != complex:
-            apply_gate(self.head, op)
-            self._cdf = None
-            return
-        key = (amps.tobytes(), op)
+        key = None  # never stored, so a head without a key always misses
+        if amps.size <= _STEP_AMPLITUDES and amps.dtype == complex:
+            key = (amps.tobytes(), op)
         step = _STEPS.get(key)
         if step is None:
             head = apply_gate(self.head.copy(), op)
-            cdf = np.cumsum(probabilities(head))
-            step = head.amplitudes, tuple((cdf / cdf[-1]).tolist())
-            if len(_STEPS) < STEP_ENTRIES:
+            step = head.amplitudes, _normalized_cdf(head)
+            if key is not None and len(_STEPS) < STEP_ENTRIES:
                 _STEPS[key] = step
         amps[...] = step[0]
         self._cdf = step[1]
@@ -276,9 +267,6 @@ class Population:
             u = u + u - coin
             tail_bits.extend((int(coin),) * width)
             walked += width
-        if self._cdf is None:
-            cdf = np.cumsum(probabilities(self.head))
-            self._cdf = (cdf / cdf[-1]).tolist()
         index = bisect_right(self._cdf, u)
         return (*((index >> q) & 1 for q in range(self.head.n_qubits)), *reversed(tail_bits))
 

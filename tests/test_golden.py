@@ -7,7 +7,8 @@ were recorded from the dense 2^n-amplitude population, the 16- and
 20-item digest from the factored one with numpy flip scores, and the map
 search digest from runs over the profit-bearing candidate edges alone;
 any change in sampling order, move selection or fitness arithmetic changes
-them. A deliberate change to seeded output re-records them and says so in
+them. ``TRACES_DIGEST`` hashes every one of those runs without
+``best_iteration``. A deliberate change to seeded output re-records them and says so in
 CHANGES.md.
 """
 
@@ -23,12 +24,15 @@ from qtabu.tabu import KnapsackInstance, SearchConfig, qts_run
 MAP_SEARCH_DIGEST = "d94924fcaf139c3ead8cfd9c0cfb26e7c849e3cf53303e2314157b78ecf1c0cb"
 KNAPSACK_DIGEST = "aa3be33f0fe405b72350a1237f249e0e0720e9d560f7ab3b7a35463c8237ce8e"
 WIDE_KNAPSACK_DIGEST = "5580514a58b0266533b62c175e76baf0057b75fc764c647d508b496ed01917cd"
+# All three sets of runs without ``best_iteration``.
+TRACES_DIGEST = "870cbc32258e67de7e2b06ab0a7f52a039faf9a8ad007f79933a9b9145a98220"
 
 
-def _digest(results) -> str:
+def _digest(results, with_iteration: bool = True) -> str:
     digest = hashlib.sha256()
     for result in results:
-        key = (result.best_solution, result.best_evaluation, result.best_iteration, tuple(result.trace))
+        iteration = (result.best_iteration,) if with_iteration else ()
+        key = (result.best_solution, result.best_evaluation, *iteration, tuple(result.trace))
         digest.update(repr(key).encode())
     return digest.hexdigest()
 
@@ -59,23 +63,34 @@ def _wide_knapsack_instances() -> list[KnapsackInstance]:
     return [_fractional_instance(rng, n_items) for n_items in (16, 20) for _ in range(25)]
 
 
-def test_map_search_traces_match_golden():
+def _map_search_runs():
     problem = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=6)
-    results = [search_best_map(problem, SearchConfig(seed=seed)).search for seed in range(100)]
-    assert _digest(results) == MAP_SEARCH_DIGEST
+    return [search_best_map(problem, SearchConfig(seed=seed)).search for seed in range(100)]
 
 
-def _knapsack_digest(instances: list[KnapsackInstance]) -> str:
-    return _digest(
+def _knapsack_runs(instances: list[KnapsackInstance]):
+    return [
         qts_run(instance, SearchConfig(seed=index, population_mode=mode))
         for index, instance in enumerate(instances)
         for mode in ("with_replacement", "without_replacement")
-    )
+    ]
+
+
+def test_map_search_traces_match_golden():
+    assert _digest(_map_search_runs()) == MAP_SEARCH_DIGEST
 
 
 def test_knapsack_traces_match_golden():
-    assert _knapsack_digest(_knapsack_instances()) == KNAPSACK_DIGEST
+    assert _digest(_knapsack_runs(_knapsack_instances())) == KNAPSACK_DIGEST
 
 
 def test_wide_knapsack_traces_match_golden():
-    assert _knapsack_digest(_wide_knapsack_instances()) == WIDE_KNAPSACK_DIGEST
+    assert _digest(_knapsack_runs(_wide_knapsack_instances())) == WIDE_KNAPSACK_DIGEST
+
+
+def test_best_selections_and_traces_match_golden():
+    """Every run above, hashed without ``best_iteration``: a change to how
+    that one field is counted leaves this digest alone."""
+    runs = _map_search_runs()
+    runs += _knapsack_runs(_knapsack_instances()) + _knapsack_runs(_wide_knapsack_instances())
+    assert _digest(runs, with_iteration=False) == TRACES_DIGEST

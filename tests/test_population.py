@@ -111,10 +111,11 @@ def test_factored_population_matches_dense(run):
     for op in ops:
         population.apply(op)
         apply_gate(dense, op)
-    assert population.n_qubits == population.head.n_qubits + sum(population.tail) == n
+    assert population.head.n_qubits + sum(population.tail) == n
     np.testing.assert_allclose(
         population_amplitudes(population), dense.amplitudes, rtol=0, atol=1e-12
     )
+    assert [float.hex(c) for c in population._cdf] == kernel_cdf(population.head)
 
     rng_factored = np.random.default_rng(seed)
     rng_dense = np.random.default_rng(seed)
@@ -152,11 +153,19 @@ def test_escape_gates_stay_in_two_qubit_blocks():
         assert population.tail == tail
 
 
-def test_gate_on_a_tail_qubit_names_the_head_width():
+def test_gate_on_a_tail_qubit_names_the_head_width(steps):
     population = init_population(5, "without_replacement")
-    for op in (GateOp(Gate.H, 2), GateOp(Gate.CX, 1, control=4), GateOp(Gate.X, 3)):
-        with pytest.raises(IndexError, match="2-qubit head of a 5-qubit population"):
+    population.apply(GateOp(Gate.H, 1))
+    before = population.head.amplitudes.tobytes()
+    for op, message in (
+        (GateOp(Gate.H, 2), "target qubit 2"),
+        (GateOp(Gate.CX, 1, control=4), "control qubit 4"),
+        (GateOp(Gate.X, 3), "target qubit 3"),
+    ):
+        with pytest.raises(IndexError, match=f"{message} out of range for 2 qubits"):
             population.apply(op)
+        assert population.head.amplitudes.tobytes() == before
+        assert len(steps) == 1
 
 
 def test_population_rejects_out_of_range_qubits():
@@ -215,11 +224,16 @@ def steps(monkeypatch) -> dict:
     return table
 
 
+def kernel_cdf(state: StateVector) -> list[str]:
+    """The normalized CDF of ``state``, each entry as ``float.hex``."""
+    cdf = np.cumsum(probabilities(state))
+    return [float.hex(c) for c in (cdf / cdf[-1]).tolist()]
+
+
 def kernel_step(head: StateVector, op: GateOp) -> tuple[bytes, list[str]]:
     """``apply_gate`` on a copy of ``head``, and the normalized CDF of the result."""
     stepped = apply_gate(head.copy(), op)
-    cdf = np.cumsum(probabilities(stepped))
-    return stepped.amplitudes.tobytes(), [float.hex(c) for c in (cdf / cdf[-1]).tolist()]
+    return stepped.amplitudes.tobytes(), kernel_cdf(stepped)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -295,12 +309,13 @@ def test_heads_the_table_cannot_key_skip_it(steps):
 
 
 def test_population_rejects_conditioned_gates(steps):
-    """A conditioned gate is refused before the table is read, so it never
-    takes the entry of the plain gate."""
+    """A population has no classical bits, so the kernel refuses a
+    conditioned gate; its key differs from the plain gate's, so it never
+    takes that entry, and nothing is stored for it."""
     population = init_population(4)
     population.apply(GateOp(Gate.X, 0))
     before = population.head.amplitudes.tobytes()
-    with pytest.raises(ValueError, match=r"x conditioned on classical bit 0 == 1"):
+    with pytest.raises(IndexError, match=r"classical bit 0 out of range"):
         population.apply(GateOp(Gate.X, 0, condition=(0, 1)))
     assert population.head.amplitudes.tobytes() == before
     assert len(steps) == 1
