@@ -295,16 +295,19 @@ class SearchState(EngineCounters):
     current: CandidateSolution
     best_solution: CandidateSolution
     best_evaluation: float
-    best_iteration: int
+    best_iteration: int  # when best_evaluation was first reached
     iteration: int
     tabu_list: deque[int]  # items of the last moves, oldest first; maxlen is the tenure
+    # The iteration the stagnation clock last restarted at: the last
+    # improvement or escape.
+    clock_start: int = 0
 
 
 @dataclass
 class SearchResult(EngineCounters):
     best_solution: CandidateSolution
     best_evaluation: float
-    best_iteration: int
+    best_iteration: int  # when best_evaluation was first reached (0: the first draw)
     iterations_run: int
     trace: list[tuple[int, float, float]]
 
@@ -394,8 +397,8 @@ def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
     If the two leading bits of the best solution differ, entangle them with
     cx(0, 1); otherwise spread qubit 1 with h (qubit 0 when there is only
     one item). The current selection is replaced by a fresh draw and the
-    stagnation clock restarts; ``best_solution`` and ``best_evaluation``
-    are kept.
+    stagnation clock restarts (``clock_start`` becomes ``iteration``);
+    ``best_solution``, ``best_evaluation`` and ``best_iteration`` are kept.
     """
     bits = state.best_solution
     if len(bits) >= 2 and bits[0] != bits[1]:
@@ -406,7 +409,7 @@ def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
         state.escapes_h += 1
     _as_population(state.population).apply(op)
     state.current = sample_candidate(state.population, rng)
-    state.best_iteration = state.iteration
+    state.clock_start = state.iteration
     return state
 
 
@@ -473,7 +476,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     trace: list[tuple[int, float, float]] = []
     for iteration in range(1, config.max_iterations + 1):
         state.iteration = iteration
-        if iteration - state.best_iteration > config.stagnation_limit:
+        if iteration - state.clock_start > config.stagnation_limit:
             escape(state, rng)
             hood = neighbourhood(state.current)
         chosen, flipped = select_move(state, hood)
@@ -484,7 +487,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         if current_eval > state.best_evaluation:
             state.best_solution = chosen
             state.best_evaluation = current_eval
-            state.best_iteration = iteration
+            state.best_iteration = state.clock_start = iteration
         trace.append((iteration, current_eval, state.best_evaluation))
     return SearchResult(
         best_solution=state.best_solution,

@@ -507,7 +507,7 @@ def test_exit_code_engine_error_for_problem_size(tmp_path, capsys):
     assert code == 0
     assert "error" not in err
     assert out.splitlines()[-1] == (
-        f"# best_eval=21.0 best_iter=492 iterations_run=500 solution={'1' * 21}"
+        f"# best_eval=21.0 best_iter=9 iterations_run=500 solution={'1' * 21}"
     )
 
 

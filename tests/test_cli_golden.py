@@ -3,10 +3,11 @@
 Each case runs one subcommand through ``cli.main`` and hashes its exit
 code, stdout and stderr, so every count, every ``repr``-rendered float and
 every summary line is part of the digest. The digests were recorded from
-the simulator that ran every shot on all routed physical qubits, and the
-``search-map`` digest from a search over the profit-bearing candidate
-edges alone; a deliberate change to seeded output re-records them and says
-so in CHANGES.md. The ``--help`` digests pin every help text at 80 columns.
+the simulator that ran every shot on all routed physical qubits. The
+``qts`` and ``search-map`` digests were last re-recorded when
+``best_iter``/``best_iteration`` became the iteration at which the best
+was first reached. A deliberate change to seeded output re-records them
+and says so in CHANGES.md. The ``--help`` digests pin every help text at 80 columns.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ CASES = {
     ),
     "qts": (
         ["qts", "{instance}", "--max-iter", "80", "--seed", "5"],
-        "dfcb235363651b7157399eba19e2a193bf40b8c873f6b4931a34a15dd337336d",
+        "f188cd5840398161447fb76ed5c8334665ee40ff8c3c969ee78233ad015de9eb",
     ),
     "search-map": (
         ["search-map", TELEPORT, "--physical", "4", "--runs", "3", "--seed", "6"],
-        "49dd1d8cd059c313a30f4cc72fff5baca261cff79e624f2de3da714f12da28c0",
+        "a3a9d874eaee8e38ce052b1ceacda9e4768560917f608df95e6eb1481a1cf5d7",
     ),
     "bench-teleport": (
         ["bench-teleport", "--shots", "512", "--seed", "7"],

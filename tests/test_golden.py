@@ -2,13 +2,13 @@
 
 Each test hashes ``(best_solution, best_evaluation, best_iteration, trace)``
 of a fixed set of seeded runs, rendered with ``repr``, so every digit of
-every float and the type of every bit is part of the digest. The digests
-were recorded from the dense 2^n-amplitude population, the 16- and
-20-item digest from the factored one with numpy flip scores, and the map
-search digest from runs over the profit-bearing candidate edges alone;
-any change in sampling order, move selection or fitness arithmetic changes
-them. ``TRACES_DIGEST`` hashes every one of those runs without
-``best_iteration``. A deliberate change to seeded output re-records them and says so in
+every float and the type of every bit is part of the digest. Any change
+in sampling order, move selection or fitness arithmetic changes them. The
+three were last re-recorded when ``best_iteration`` became the iteration
+at which the best was first reached, instead of the last escape.
+``TRACES_DIGEST`` hashes every one of those runs without
+``best_iteration``; it was recorded before that change and did not move.
+A deliberate change to seeded output re-records them and says so in
 CHANGES.md.
 """
 
@@ -21,9 +21,9 @@ import numpy as np
 from qtabu.mapsearch import MapSearchProblem, all_directed_pairs, load_teleport, search_best_map
 from qtabu.tabu import KnapsackInstance, SearchConfig, qts_run
 
-MAP_SEARCH_DIGEST = "d94924fcaf139c3ead8cfd9c0cfb26e7c849e3cf53303e2314157b78ecf1c0cb"
-KNAPSACK_DIGEST = "aa3be33f0fe405b72350a1237f249e0e0720e9d560f7ab3b7a35463c8237ce8e"
-WIDE_KNAPSACK_DIGEST = "5580514a58b0266533b62c175e76baf0057b75fc764c647d508b496ed01917cd"
+MAP_SEARCH_DIGEST = "b26f1327d302ff43cbcd05cbb062a0525012b9d8056543ea7e66886d0b1b7b6f"
+KNAPSACK_DIGEST = "fd0788c4b0e5445ff3685b09faa9b652a029a810ec7efb9bdcbe64eca6bb7616"
+WIDE_KNAPSACK_DIGEST = "eb9c1be6aadecd4ebb4c46e45b476b019f3fd0705d7bc13f3c3579a8de84e1c8"
 # All three sets of runs without ``best_iteration``.
 TRACES_DIGEST = "870cbc32258e67de7e2b06ab0a7f52a039faf9a8ad007f79933a9b9145a98220"
 

@@ -98,17 +98,18 @@ def _recorded_run(instance: KnapsackInstance, config: SearchConfig):
     return result, moves, gates
 
 
-def _stagnation_triggers(result, initial_evaluation: float, stagnation_limit: int) -> int:
+def _replay_clock(result, initial_evaluation: float, stagnation_limit: int) -> tuple[int, int]:
     """Replay the stagnation clock from the trace: it restarts on every
-    strict improvement and every escape."""
-    best, best_iteration, triggers = initial_evaluation, 0, 0
+    strict improvement and every escape. Returns the escapes it triggers
+    and the iteration at which the best value was first reached."""
+    best, best_iteration, clock_start, triggers = initial_evaluation, 0, 0, 0
     for iteration, current_eval, _ in result.trace:
-        if iteration - best_iteration > stagnation_limit:
+        if iteration - clock_start > stagnation_limit:
             triggers += 1
-            best_iteration = iteration
+            clock_start = iteration
         if current_eval > best:
-            best, best_iteration = current_eval, iteration
-    return triggers
+            best, best_iteration, clock_start = current_eval, iteration, iteration
+    return triggers, best_iteration
 
 
 @settings(max_examples=100, deadline=None)
@@ -138,7 +139,8 @@ def test_short_runs_trace_fitness_and_escapes(instance, seed, mode, iterations, 
     assert all(b >= a for a, b in zip(best_column, best_column[1:]))
     # The first move starts from the initial draw: no escape can come first.
     initial = fitness(instance, moves[0][0])
-    assert _stagnation_triggers(result, initial, stagnation) == result.escapes_cx + result.escapes_h
+    escapes = result.escapes_cx + result.escapes_h
+    assert _replay_clock(result, initial, stagnation) == (escapes, result.best_iteration)
     assert result.escapes_cx == gates.count(Gate.CX)
     assert result.escapes_h == gates.count(Gate.H)
 

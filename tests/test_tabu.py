@@ -237,7 +237,7 @@ def test_escape_cx_branch_entangles():
     assert returned is state
     np.testing.assert_allclose(state.population.amplitudes, [0, 0, 0, 1], atol=1e-12)
     assert state.current == (1, 1)
-    assert state.best_iteration == 30
+    assert (state.clock_start, state.best_iteration) == (30, 0)
     assert state.best_evaluation == 5.0  # untouched
     assert state.best_solution == (1, 0)
 
@@ -251,7 +251,7 @@ def test_escape_h_branch_spreads_qubit_one():
     np.testing.assert_allclose(
         state.population.amplitudes, [2**-0.5, 0, 2**-0.5, 0], atol=1e-12
     )
-    assert state.best_iteration == 25
+    assert (state.clock_start, state.best_iteration) == (25, 0)
 
 
 def test_escape_single_item_uses_only_qubit():
@@ -357,9 +357,11 @@ def test_derived_tenure_stays_shorter_than_the_run():
 
 
 def test_qts_run_escape_restarts_stagnation_window():
-    # a converged run keeps escaping; the final best_iteration reflects the
-    # last escape, not the first time the best value appeared
+    # a converged run keeps escaping, and each escape restarts the stagnation
+    # clock; best_iteration stays where the best value first appeared: the
+    # first draw (iteration 0) selects the item, and the first move leaves it
     inst = KnapsackInstance((5.0,), (1.0,), 1.0)
     result = qts_run(inst, SearchConfig(max_iterations=100, tabu_tenure=1, seed=1))
-    first_best = next(i for i, _, b in result.trace if b == result.best_evaluation)
-    assert result.best_iteration > first_best
+    assert result.escapes_h >= 3
+    assert result.trace[0] == (1, 0.0, 5.0)
+    assert result.best_iteration == 0
