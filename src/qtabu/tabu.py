@@ -137,27 +137,42 @@ class KnapsackInstance:
         return self._arrays
 
 
+def _number(kind: type, text: str, line: int, field: str):
+    """``kind(text)``, or a ``ValueError`` naming the line and the field."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"line {line}: {field} must be {what}, got {text!r}") from None
+
+
 def parse_instance(text: str) -> KnapsackInstance:
-    """Parse the instance file format: ``n max_capacity`` then n ``b w`` lines."""
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
+    """Parse the instance file format: ``n max_capacity`` then n ``b w`` lines.
+
+    Blank lines are skipped; errors name the line (counting blank ones) and
+    the field.
+    """
+    lines = [(k, line.strip()) for k, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise ValueError("empty instance file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"header must be 'n max_capacity', got {lines[0]!r}")
-    n = int(header[0])
-    max_capacity = float(header[1])
+    line, header = lines[0]
+    words = header.split()
+    if len(words) != 2:
+        raise ValueError(f"line {line}: header must be 'n max_capacity', got {header!r}")
+    n = _number(int, words[0], line, "n")
+    if n < 1:
+        raise ValueError(f"line {line}: n must be >= 1, got {n}")
+    max_capacity = _number(float, words[1], line, "max_capacity")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} item lines, got {len(lines) - 1}")
     profits: list[float] = []
     weights: list[float] = []
-    for line in lines[1:]:
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"item line must be 'profit weight', got {line!r}")
-        profits.append(float(fields[0]))
-        weights.append(float(fields[1]))
+    for line, item in lines[1:]:
+        words = item.split()
+        if len(words) != 2:
+            raise ValueError(f"line {line}: item line must be 'profit weight', got {item!r}")
+        profits.append(_number(float, words[0], line, "profit"))
+        weights.append(_number(float, words[1], line, "weight"))
     return KnapsackInstance(tuple(profits), tuple(weights), max_capacity)
 
 

@@ -322,6 +322,10 @@ def test_search_map_too_many_default_candidates(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert "usage error: 65 physical qubits give 4160 candidate edges (limit 4096)" in err
+    # One physical qubit gives no pair: a usage error, not a parse error.
+    code, out, err = run_cli(capsys, ["search-map", circuit, "--physical", "1", "--seed", "0"])
+    assert (code, out) == (1, "")
+    assert "usage error: --physical 1 gives no candidate edge" in err
     # The count is checked before any pair is built.
     tracemalloc.start()
     try:

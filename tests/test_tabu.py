@@ -76,8 +76,18 @@ def test_parse_instance_errors():
         parse_instance("3\n1 1\n1 1\n1 1\n")
     with pytest.raises(ValueError, match="expected 3 item lines"):
         parse_instance("3 5\n1 1\n")
-    with pytest.raises(ValueError, match="profit weight"):
-        parse_instance("1 5\n1 2 3\n")
+    with pytest.raises(ValueError, match="line 3: item line must be 'profit weight'"):
+        parse_instance("1 5\n\n1 2 3\n")
+    with pytest.raises(ValueError, match="line 1: n must be an integer, got 'x'"):
+        parse_instance("x 5\n")
+    with pytest.raises(ValueError, match="line 1: max_capacity must be a number, got 'y'"):
+        parse_instance("1 y\n1 1\n")
+    with pytest.raises(ValueError, match="line 2: weight must be a number, got 'x'"):
+        parse_instance("1 5\n1 x\n")
+    with pytest.raises(ValueError, match="line 3: profit must be a number, got 'p'"):
+        parse_instance("2 5\n1 1\np 1\n")
+    with pytest.raises(ValueError, match="line 1: n must be >= 1, got -1"):
+        parse_instance("-1 5\n")
 
 
 def test_fitness_matches_formula():
