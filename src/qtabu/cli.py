@@ -262,7 +262,6 @@ def cmd_search_map(args: argparse.Namespace) -> int:
     else:
         n_physical = args.physical if args.physical is not None else program.n_qubits
         # Checked before the pairs are built, so a huge count costs nothing.
-        n_pairs = n_physical * (n_physical - 1)
         if n_physical < 2:
             raise _Failure(
                 "usage error",
@@ -270,6 +269,7 @@ def cmd_search_map(args: argparse.Namespace) -> int:
                 f"--physical {n_physical} gives no candidate edge (a pair needs 2 physical "
                 "qubits); pass --physical 2 or more, or --candidates with an explicit pair list",
             )
+        n_pairs = n_physical * (n_physical - 1)
         if n_pairs > MAX_CANDIDATE_EDGES:
             raise _Failure(
                 "usage error",

@@ -137,7 +137,7 @@ class KnapsackInstance:
         return self._arrays
 
 
-def _number(kind: type, text: str, line: int, field: str):
+def _number(kind: type, text: str, line: int, field: str) -> float:
     """``kind(text)``, or a ``ValueError`` naming the line and the field."""
     try:
         return kind(text)
