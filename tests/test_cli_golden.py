@@ -7,7 +7,8 @@ the simulator that ran every shot on all routed physical qubits. The
 ``qts`` and ``search-map`` digests were last re-recorded when
 ``best_iter``/``best_iteration`` became the iteration at which the best
 was first reached. A deliberate change to seeded output re-records them
-and says so in CHANGES.md. The ``--help`` digests pin every help text at 80 columns.
+and says so in CHANGES.md. The ``--help`` digests pin every help text at
+80 columns.
 """
 
 from __future__ import annotations
