@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from functools import cache
@@ -345,6 +346,13 @@ def main(argv: list[str] | None = None) -> int:
     except _Failure as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``). Point stdout at
+        # devnull, so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

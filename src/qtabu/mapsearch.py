@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .qasm import Program, parse
 from .routing import CouplingMap, RoutingError, RoutingReport, direct_support_count, route
-from .tabu import KnapsackInstance, SearchConfig, SearchResult, check_config, fitness, qts_run
+from .tabu import KnapsackInstance, SearchConfig, SearchResult, fitness, qts_run
 
 DIRECT_EDGE_PROFIT = 1.0
 REVERSED_EDGE_PROFIT = 0.5
@@ -157,7 +157,6 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
             bits[k] = bit
         result = replace(result, best_solution=tuple(bits))
     else:
-        check_config(config or SearchConfig(), 0)
         result = SearchResult(
             best_solution=tuple(bits),
             best_evaluation=fitness(instance, bits),

@@ -5,7 +5,8 @@ bit of the basis-state index, so basis state ``|q_{n-1} ... q_1 q_0>`` has
 index ``sum(q_k << k)`` and bitstrings render with qubit 0 rightmost.
 
 Every stochastic operation takes a ``numpy.random.Generator`` explicitly;
-rerunning with the same seed reproduces every draw.
+rerunning with the same seed reproduces every draw. ``normalized_cdf`` is
+the one Born-rule CDF that ``sample_counts`` and the tabu population draw by.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ NORM_TOL = 1e-12
 # Most uniforms ``shot_counts`` or ``sample_counts`` draws at once (512 KiB),
 # so their memory stays flat in the shot count.
 SHOT_BLOCK = 2**16
-
-_SQRT2_INV = 2.0 ** -0.5
 
 
 class Gate(Enum):
@@ -145,7 +144,7 @@ def apply_gate(state: StateVector, op: GateOp, classical_bits: Sequence[int] = (
         one *= -1.0
     elif op.kind is Gate.H:
         zero, one = _halves(state, op.target)
-        zero[...], one[...] = (zero + one) * _SQRT2_INV, (zero - one) * _SQRT2_INV
+        zero[...], one[...] = (zero + one) * 2.0**-0.5, (zero - one) * 2.0**-0.5
     else:
         # X and CX swap the target's halves (inside control = 1 for CX).
         zero, one = _halves(state, op.target, op.control)
@@ -158,6 +157,15 @@ def apply_gate(state: StateVector, op: GateOp, classical_bits: Sequence[int] = (
 def probabilities(state: StateVector) -> np.ndarray:
     """Born-rule probability for every basis state, indexed like amplitudes."""
     return np.abs(state.amplitudes) ** 2
+
+
+def normalized_cdf(state: StateVector) -> np.ndarray:
+    """The cumulative Born probabilities of ``state``, scaled to end at 1: the
+    first entry above a uniform is the outcome ``rng.choice(size, p=probs)`` gives."""
+    probs = probabilities(state)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    return cdf
 
 
 def measure(state: StateVector, qubit: int, rng: np.random.Generator) -> tuple[int, StateVector]:
@@ -203,9 +211,7 @@ def sample_counts(state: StateVector, shots: int, rng: np.random.Generator) -> d
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = probabilities(state)
-    cdf = np.cumsum(probs / probs.sum())
-    cdf /= cdf[-1]
+    cdf = normalized_cdf(state)
     counts = np.zeros(cdf.size, dtype=np.int64)
     for start in range(0, shots, SHOT_BLOCK):
         draws = rng.random(min(SHOT_BLOCK, shots - start))

@@ -11,11 +11,14 @@ Those gates only ever act on qubits 0 and 1, so every other qubit keeps its
 prepared ``|+>`` or Bell-pair half for the whole run (the Q-bit individual
 of quantum-inspired evolutionary algorithms). ``Population`` stores a dense
 two-qubit head for the escapes and a fixed tail of those blocks, instead of
-one array of ``2**n_items`` amplitudes. Every gate on a population takes
-one path: ``apply_gate`` on a copy of the head, written back into the head
-with the sampling CDF of the result. A head of up to four complex
-amplitudes first looks that step up in a bounded, process-wide table keyed
-by the head's bytes and the gate; the first run in a process fills it.
+one array of ``2**n_items`` amplitudes. The head is prepared from
+``zero_state`` by the escape gates, and every later gate takes one path:
+``apply_gate`` on a copy of the head, written back into the head with the
+result's ``normalized_cdf``, so no amplitude or probability is computed
+here. A head of up to four complex amplitudes first looks that step up in
+a bounded, process-wide table keyed by the head's bytes and the gate; the
+first run in a process fills it. Settings are checked once, when a
+``SearchConfig`` is built.
 
 Fitness is profit times a soft capacity penalty:
 
@@ -41,15 +44,12 @@ from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
 
-from .statevector import Gate, GateOp, StateVector, apply_gate, probabilities
+from .statevector import Gate, GateOp, StateVector, apply_gate, normalized_cdf, zero_state
 
 PopulationMode = Literal["with_replacement", "without_replacement"]
 CandidateSolution = tuple[int, ...]  # one 0/1 selection bit per item
 
 _MODES = get_args(PopulationMode)
-_SQRT2_INV = 2.0 ** -0.5  # the amplitude h puts on each basis state
-_PLUS = np.array([_SQRT2_INV] * 2, dtype=complex)
-_BELL = np.array([_SQRT2_INV, 0.0, 0.0, _SQRT2_INV], dtype=complex)
 # Flip scores one run's neighbourhood cache may hold: about 4 MiB of Python
 # objects (some 60 bytes a score) at any number of items.
 CACHE_SCORES = 2**16
@@ -207,8 +207,8 @@ def fitness(instance: KnapsackInstance, bits: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Engine knobs. ``tabu_tenure=None`` derives ``max(2, n_items // 4)``,
-    capped at ``max_iterations - 1`` (and at least 1)."""
+    """Engine knobs; building one (``replace`` too) raises ``ValueError`` for a
+    setting no run accepts. ``tabu_tenure=None`` derives it (``tenure``)."""
 
     max_iterations: int = 500
     stagnation_limit: int = 20
@@ -216,11 +216,27 @@ class SearchConfig:
     population_mode: PopulationMode = "with_replacement"
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.stagnation_limit < 1:
+            raise ValueError("stagnation_limit must be >= 1")
+        tenure = self.tabu_tenure
+        if tenure is not None and tenure < 1:
+            raise ValueError("tabu_tenure must be >= 1")
+        if tenure is not None and tenure >= self.max_iterations:
+            raise ValueError(
+                f"tabu_tenure {tenure} must be smaller than max_iterations {self.max_iterations}"
+            )
+        if self.population_mode not in _MODES:
+            raise ValueError(f"unknown population mode {self.population_mode!r}")
 
-def _normalized_cdf(head: StateVector) -> tuple[float, ...]:
-    """The cumulative Born probabilities of ``head``, scaled to end at 1."""
-    cdf = np.cumsum(probabilities(head))
-    return tuple((cdf / cdf[-1]).tolist())
+    def tenure(self, n_items: int) -> int:
+        """The tabu tenure of a run over ``n_items`` items: ``tabu_tenure``, or
+        ``max(2, n_items // 4)`` capped at ``max_iterations - 1`` (and at least 1)."""
+        if self.tabu_tenure is not None:
+            return self.tabu_tenure
+        return max(1, min(max(2, n_items // 4), self.max_iterations - 1))
 
 
 class Population:
@@ -235,7 +251,7 @@ class Population:
     def __init__(self, head: StateVector, tail: tuple[int, ...] = ()) -> None:
         self.head = head
         self.tail = tail
-        self._cdf = _normalized_cdf(head)
+        self._cdf = tuple(normalized_cdf(head).tolist())
 
     def apply(self, op: GateOp) -> None:
         """Apply one gate to the head in place.
@@ -255,7 +271,7 @@ class Population:
         step = _STEPS.get(key)
         if step is None:
             head = apply_gate(self.head.copy(), op)
-            step = head.amplitudes, _normalized_cdf(head)
+            step = head.amplitudes, tuple(normalized_cdf(head).tolist())
             if key is not None and len(_STEPS) < STEP_ENTRIES:
                 _STEPS[key] = step
         amps[...] = step[0]
@@ -334,19 +350,19 @@ def init_population(n_items: int, mode: PopulationMode = "with_replacement") -> 
     selections). ``without_replacement`` entangles item pairs (2k, 2k+1)
     into Bell states so paired items are sampled together, with a lone
     trailing item left in ``|+>``. Only the head over qubits 0 and 1 is
-    stored as amplitudes; no ``2**n_items`` array is made.
+    stored as amplitudes, made by the escape gates; no ``2**n_items`` array.
     """
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     if mode not in _MODES:
         raise ValueError(f"unknown population mode {mode!r}")
+    head = apply_gate(zero_state(min(n_items, 2)), _ESCAPE_H[0])
     if n_items == 1:
-        head, tail = _PLUS, ()
-    elif mode == "with_replacement":
-        head, tail = np.kron(_PLUS, _PLUS), (1,) * (n_items - 2)
-    else:
-        head, tail = _BELL, (2,) * (n_items // 2 - 1) + (1,) * (n_items % 2)
-    return Population(StateVector(min(n_items, 2), head.copy()), tail)
+        return Population(head)
+    if mode == "with_replacement":
+        return Population(apply_gate(head, _ESCAPE_H[1]), (1,) * (n_items - 2))
+    tail = (2,) * (n_items // 2 - 1) + (1,) * (n_items % 2)
+    return Population(apply_gate(head, _ESCAPE_CX), tail)
 
 
 def sample_candidate(
@@ -411,8 +427,8 @@ def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
 
     If the two leading bits of the best solution differ, entangle them with
     cx(0, 1); otherwise spread qubit 1 with h (qubit 0 when there is only
-    one item). The current selection is replaced by a fresh draw and the
-    stagnation clock restarts (``clock_start`` becomes ``iteration``);
+    one item), in place. The current selection is replaced by a fresh draw
+    and the stagnation clock restarts (``clock_start`` becomes ``iteration``);
     ``best_solution``, ``best_evaluation`` and ``best_iteration`` are kept.
     """
     bits = state.best_solution
@@ -422,34 +438,11 @@ def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
     else:
         op = _ESCAPE_H[len(bits) >= 2]
         state.escapes_h += 1
-    _as_population(state.population).apply(op)
-    state.current = sample_candidate(state.population, rng)
+    population = _as_population(state.population)
+    population.apply(op)
+    state.current = sample_candidate(population, rng)
     state.clock_start = state.iteration
     return state
-
-
-def check_config(config: SearchConfig, n_items: int) -> int:
-    """The tabu tenure a run over ``n_items`` items uses under ``config``.
-
-    Raises ``ValueError`` for every setting ``qts_run`` rejects, so a caller
-    that skips the run still rejects what the run would.
-    """
-    if config.max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    if config.stagnation_limit < 1:
-        raise ValueError("stagnation_limit must be >= 1")
-    tenure = config.tabu_tenure
-    if tenure is None:
-        tenure = max(1, min(max(2, n_items // 4), config.max_iterations - 1))
-    elif tenure < 1:
-        raise ValueError("tabu_tenure must be >= 1")
-    elif tenure >= config.max_iterations:
-        raise ValueError(
-            f"tabu_tenure {tenure} must be smaller than max_iterations {config.max_iterations}"
-        )
-    if config.population_mode not in _MODES:
-        raise ValueError(f"unknown population mode {config.population_mode!r}")
-    return tenure
 
 
 def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> SearchResult:
@@ -461,7 +454,6 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     if config is None:
         config = SearchConfig()
     n = instance.n_items
-    tenure = check_config(config, n)
     rng = np.random.default_rng(config.seed)
     population = init_population(n, config.population_mode)
     current = sample_candidate(population, rng)
@@ -486,7 +478,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         best_evaluation=hood[0],
         best_iteration=0,
         iteration=0,
-        tabu_list=deque(maxlen=tenure),
+        tabu_list=deque(maxlen=config.tenure(n)),
     )
     trace: list[tuple[int, float, float]] = []
     for iteration in range(1, config.max_iterations + 1):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import gc
 import json
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -521,6 +523,24 @@ def test_exit_code_routing_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["route", circuit, "--map", cmap])
     assert code == 3
     assert "routing error" in err
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that stops early (``| head -2``) closes stdout while the
+    trace is written: exit 1, and stderr holds only the seed echo."""
+    instance = write(tmp_path, "inst.txt", "21 30\n" + "1 1\n" * 21)
+    argv = ["qts", instance, "--seed", "0", "--max-iter", "20000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtabu.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head[0] == b"iteration,current_eval,best_eval\n"
+    assert head[1].startswith(b"1,")
+    assert err == b"seed=0\n"
 
 
 def test_exit_code_missing_file(tmp_path, capsys):

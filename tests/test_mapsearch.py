@@ -25,7 +25,7 @@ from qtabu.mapsearch import (
 )
 from qtabu.qasm import parse, serialize
 from qtabu.routing import CouplingMap
-from qtabu.tabu import KnapsackInstance, SearchConfig, fitness, qts_run
+from qtabu.tabu import SearchConfig, fitness
 
 # cx on 11 distinct pairs: 22 directed edges carry profit.
 ELEVEN_CX = "qreg q[12];\ncreg c[0];\n" + "".join(
@@ -207,26 +207,6 @@ def test_search_best_map_without_profit_runs_no_search():
     assert result.search.best_solution == (0, 0, 0)
     assert (result.search.iterations_run, result.search.best_iteration) == (0, 0)
     assert result.search.trace == []
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        SearchConfig(max_iterations=0),
-        SearchConfig(stagnation_limit=0),
-        SearchConfig(tabu_tenure=0),
-        SearchConfig(tabu_tenure=600, max_iterations=500),
-        SearchConfig(max_iterations=1, tabu_tenure=1),  # an explicit tenure as long as the run
-        SearchConfig(population_mode="bogus"),  # type: ignore[arg-type]
-    ],
-)
-def test_search_best_map_without_profit_rejects_what_the_engine_rejects(config):
-    with pytest.raises(ValueError) as engine:
-        qts_run(KnapsackInstance((1.0,), (1.0,), 6.0), config)
-    problem = MapSearchProblem(load_teleport(), ((0, 2),))
-    with pytest.raises(ValueError) as search:
-        search_best_map(problem, config)
-    assert str(search.value) == str(engine.value)
 
 
 @settings(max_examples=200, deadline=None)

@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 
 from oracles import population_amplitudes
 from qtabu import tabu
-from qtabu.statevector import Gate, GateOp, StateVector, apply_gate, probabilities, zero_state
+from qtabu.statevector import (
+    Gate,
+    GateOp,
+    StateVector,
+    apply_gate,
+    normalized_cdf,
+    probabilities,
+    zero_state,
+)
 from qtabu.tabu import (
     KnapsackInstance,
     Population,
@@ -259,6 +267,64 @@ def test_step_table_entries_equal_the_kernel(mode, steps):
                     reached[expected[0]] = population.head
                     frontier.append(population.head)
         assert len(reached) <= 10, (n, len(reached))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_normalized_cdf_equals_the_kernel_cdf_on_every_reachable_head(mode):
+    """Every head reachable from a fresh one- or two-qubit population under
+    x, z and h on each qubit and cx both ways: ``normalized_cdf`` (the CDF
+    of ``sample_counts``) equals the plain normalized cumulative sum the
+    population used to build, and the prepared heads are the old literals."""
+    s = 2.0**-0.5
+    plus = np.array([s, s], dtype=complex)
+    literals = {1: plus, 2: np.kron(plus, plus)}
+    if mode == "without_replacement":
+        literals[2] = np.array([s, 0.0, 0.0, s], dtype=complex)
+    for n in (1, 2):
+        start = init_population(n, mode).head
+        assert start.amplitudes.tobytes() == literals[n].tobytes()
+        gates = [GateOp(kind, q) for kind in (Gate.X, Gate.Z, Gate.H) for q in range(n)]
+        if n == 2:
+            gates += [GateOp(Gate.CX, 1, control=0), GateOp(Gate.CX, 0, control=1)]
+        reached = {start.amplitudes.tobytes()}
+        frontier = [start]
+        while frontier:
+            head = frontier.pop()
+            assert [float.hex(c) for c in normalized_cdf(head).tolist()] == kernel_cdf(head)
+            for op in gates:
+                stepped = apply_gate(head.copy(), op)
+                if stepped.amplitudes.tobytes() not in reached:
+                    reached.add(stepped.amplitudes.tobytes())
+                    frontier.append(stepped)
+
+
+def test_an_escape_on_a_dense_state_builds_two_cdfs(monkeypatch):
+    """One for the state as it stands and one for the stepped state, which
+    the draw then reads; the state is stepped in place and stays the
+    population."""
+    state = dense_population(10, "with_replacement")
+    calls = []
+
+    def counted(head: StateVector) -> np.ndarray:
+        calls.append(head.n_qubits)
+        return normalized_cdf(head)
+
+    monkeypatch.setattr(tabu, "normalized_cdf", counted)
+    expected = apply_gate(state.copy(), GateOp(Gate.CX, 1, control=0))
+    search = SearchState(
+        population=state,
+        current=(0,) * 10,
+        best_solution=(1,) + (0,) * 9,
+        best_evaluation=0.0,
+        best_iteration=0,
+        iteration=21,
+        tabu_list=deque(maxlen=2),
+    )
+    escape(search, np.random.default_rng(18))
+    assert calls == [10, 10]
+    assert search.population is state
+    assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert search.current == dense_inverse_cdf(expected, np.random.default_rng(18).random())
 
 
 def test_a_table_hit_writes_into_the_callers_state(steps):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import deque
 
@@ -13,7 +14,6 @@ from qtabu.tabu import (
     SearchConfig,
     SearchState,
     _neighbourhood,
-    check_config,
     escape,
     fitness,
     init_population,
@@ -356,12 +356,40 @@ def test_qts_run_config_validation():
         qts_run(inst, SearchConfig(max_iterations=2, tabu_tenure=2, seed=0))
 
 
+@pytest.mark.parametrize(
+    ("settings", "message"),
+    [
+        ({"max_iterations": 0}, "max_iterations must be >= 1"),
+        ({"stagnation_limit": 0}, "stagnation_limit must be >= 1"),
+        ({"tabu_tenure": 0}, "tabu_tenure must be >= 1"),
+        (
+            {"tabu_tenure": 600, "max_iterations": 500},
+            "tabu_tenure 600 must be smaller than max_iterations 500",
+        ),
+        (  # an explicit tenure as long as the run
+            {"max_iterations": 1, "tabu_tenure": 1},
+            "tabu_tenure 1 must be smaller than max_iterations 1",
+        ),
+        ({"population_mode": "bogus"}, "unknown population mode 'bogus'"),
+    ],
+    ids=[f"config{k}" for k in range(6)],
+)
+def test_search_config_rejects_what_the_engine_rejected(settings, message):
+    """Each setting ``qts_run`` refused, with its message, now refuses to
+    build, through ``dataclasses.replace`` too, so no caller can skip it."""
+    with pytest.raises(ValueError) as built:
+        SearchConfig(**settings)
+    with pytest.raises(ValueError) as replaced:
+        dataclasses.replace(SearchConfig(), **settings)
+    assert str(built.value) == str(replaced.value) == message
+
+
 def test_derived_tenure_stays_shorter_than_the_run():
-    assert check_config(SearchConfig(), 20) == 5
-    assert check_config(SearchConfig(), 3) == 2
-    assert check_config(SearchConfig(), 2000) == 499
-    assert check_config(SearchConfig(max_iterations=2), 4) == 1
-    assert check_config(SearchConfig(max_iterations=1), 4) == 1
+    assert SearchConfig().tenure(20) == 5
+    assert SearchConfig().tenure(3) == 2
+    assert SearchConfig().tenure(2000) == 499
+    assert SearchConfig(max_iterations=2).tenure(4) == 1
+    assert SearchConfig(max_iterations=1).tenure(4) == 1
     result = qts_run(KnapsackInstance((5.0, 3.0), (1.0, 1.0), 1.0), SearchConfig(max_iterations=1))
     assert result.iterations_run == 1
 
