@@ -131,7 +131,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("search-map", help="search for a coupling map fitting a circuit")
     p.add_argument("circuit", help="circuit file")
-    p.add_argument("--physical", type=_positive_int, default=None,
+    p.add_argument("--physical", type=int, default=None,
                    help="physical qubit count for default candidates (default: circuit size)")
     p.add_argument("--candidates", default=None,
                    help="candidate edge file (JSON pair list); default: all directed pairs")
@@ -281,21 +281,23 @@ def cmd_search_map(args: argparse.Namespace) -> int:
         candidates = all_directed_pairs(n_physical)
     problem = MapSearchProblem(program, candidates, args.budget)
     # Every run finishes before any output, so an engine error writes nothing.
-    runs = []
+    # A run keeps only its row; the best result so far keeps its trace.
+    rows = []
+    best = None
     for run in range(args.runs):
         with _stage("engine error"):
-            runs.append(search_best_map(problem, _search_config(args, seed + run)))
-    # The first run with the highest score wins.
-    best = max(runs, key=lambda scored: scored.score)
+            scored = search_best_map(problem, _search_config(args, seed + run))
+        search = scored.search
+        rows.append(
+            f"{run},{seed + run},{scored.score!r},{search.best_iteration},{search.iterations_run}"
+        )
+        # The first run with the highest score wins.
+        if best is None or scored.score > best.score:
+            best = scored
     with _out_stream(args) as out:
         print("run,seed,best_score,best_iteration,iterations_run", file=out)
-        for run, scored in enumerate(runs):
-            search = scored.search
-            print(
-                f"{run},{seed + run},{scored.score!r},"
-                f"{search.best_iteration},{search.iterations_run}",
-                file=out,
-            )
+        for row in rows:
+            print(row, file=out)
     print(json.dumps([list(edge) for edge in best.map.edges]))
     print(f"score={best.score!r}")
     return 0

@@ -16,6 +16,9 @@ statement is parsed. The tokenizer keeps only the token texts; a token's
 offset in the source is found, by scanning the source again, only when an
 error is raised at it.
 
+The parser is the only home of these rules: :func:`serialize` writes every
+instruction as given and parses its own text back, so it refuses exactly
+what :func:`parse` refuses, with the parser's message.
 :func:`compact` rewrites a program onto only the qubits it touches.
 """
 
@@ -270,40 +273,27 @@ def compact(program: Program) -> tuple[Program, tuple[int, ...]]:
     return Program(len(used), program.n_cbits, list(map(relabel, program.instructions))), used
 
 
-def _require(valid: bool, what: str) -> None:
-    if not valid:
-        raise ValueError(f"program is not serializable: {what}")
-
-
 def serialize(program: Program) -> str:
     """Render a program in canonical text form, one statement per line.
 
-    Raises ValueError for programs the dialect cannot express (registers
-    past ``MAX_REGISTER_SIZE``, conditions with value != 1 or on gates other
-    than x/z, out-of-range indices).
+    Every instruction is written as given, and the text is parsed back
+    before it is returned: the parser is the dialect's one rulebook, so a
+    program it would refuse (a register past ``MAX_REGISTER_SIZE``, an
+    index out of range or not an int, a condition other than ``==1`` or on
+    a gate other than x/z) raises ValueError with the parser's message, and
+    every text returned reads back.
     """
-    for keyword, size in (("qreg", program.n_qubits), ("creg", program.n_cbits)):
-        _require(size <= MAX_REGISTER_SIZE,
-                 f"{keyword} size {size} exceeds the limit of {MAX_REGISTER_SIZE}")
     lines = [f"qreg q[{program.n_qubits}];", f"creg c[{program.n_cbits}];"]
     for ins in program.instructions:
         if isinstance(ins, MeasureOp):
-            _require(0 <= ins.qubit < program.n_qubits, f"qubit {ins.qubit} out of range")
-            _require(0 <= ins.cbit < program.n_cbits, f"classical bit {ins.cbit} out of range")
             lines.append(f"measure q[{ins.qubit}] -> c[{ins.cbit}];")
             continue
-        _require(0 <= ins.target < program.n_qubits, f"qubit {ins.target} out of range")
-        prefix = ""
-        if ins.condition is not None:
-            cbit, value = ins.condition
-            _require(ins.kind in (Gate.X, Gate.Z), "only x and z may be conditioned")
-            _require(value == 1, "condition value must be 1")
-            _require(0 <= cbit < program.n_cbits, f"classical bit {cbit} out of range")
-            prefix = f"if(c[{cbit}]==1) "
-        if ins.kind is Gate.CX:
-            assert ins.control is not None
-            _require(0 <= ins.control < program.n_qubits, f"qubit {ins.control} out of range")
-            lines.append(f"cx q[{ins.control}],q[{ins.target}];")
-        else:
-            lines.append(f"{prefix}{ins.kind.value} q[{ins.target}];")
-    return "\n".join(lines) + "\n"
+        prefix = "" if ins.condition is None else "if(c[{}]=={}) ".format(*ins.condition)
+        operands = ",".join(f"q[{qubit}]" for qubit in _qubits(ins))
+        lines.append(f"{prefix}{ins.kind.value} {operands};")
+    text = "\n".join(lines) + "\n"
+    try:
+        parse(text)
+    except QasmParseError as exc:
+        raise ValueError(f"program is not serializable: {exc.message}") from exc
+    return text

@@ -8,13 +8,14 @@ import time
 import tracemalloc
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import random_gate_program
 from qtabu import statevector
-from qtabu.cli import main
+from qtabu.cli import _build_parser, main
 from qtabu.mapsearch import load_teleport
 from qtabu.qasm import Program, serialize
 from qtabu.routing import CouplingMap, route
@@ -324,10 +325,13 @@ def test_search_map_too_many_default_candidates(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert "usage error: 65 physical qubits give 4160 candidate edges (limit 4096)" in err
-    # One physical qubit gives no pair: a usage error, not a parse error.
-    code, out, err = run_cli(capsys, ["search-map", circuit, "--physical", "1", "--seed", "0"])
-    assert (code, out) == (1, "")
-    assert "usage error: --physical 1 gives no candidate edge" in err
+    # Fewer than two physical qubits give no pair: a usage error, not a
+    # parse error, with one message for every such count.
+    for n_physical in ("1", "0", "-3"):
+        argv = ["search-map", circuit, "--physical", n_physical, "--seed", "0"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert f"usage error: --physical {n_physical} gives no candidate edge" in err
     # The count is checked before any pair is built.
     tracemalloc.start()
     try:
@@ -361,6 +365,24 @@ def test_search_map_engine_error_writes_no_output(tmp_path, capsys, monkeypatch)
     assert "engine error: tabu_tenure 600 must be smaller than max_iterations 500" in err
     assert out == ""
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_search_map_memory_stays_flat_in_runs(tmp_path, capsys):
+    """50 runs of 2,000 iterations each: only the best run keeps its trace
+    (about 100 bytes per iteration), the others keep one CSV row."""
+    teleport = write(tmp_path, "teleport.qasm", serialize(load_teleport()))
+    argv = ["search-map", teleport, "--physical", "5", "--max-iter", "2000", "--runs", "50",
+            "--seed", "0"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert [row.split(",")[4] for row in out[1:51]] == ["2000"] * 50
+    assert peak < 4 * 2**20
 
 
 def test_search_map_without_profit(tmp_path, capsys):
@@ -565,6 +587,19 @@ def test_exit_code_missing_subcommand(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_readme_commands_parse():
+    """Every ``qtabu ...`` command the README shows is accepted by the CLI's
+    own parser, so a renamed or dropped flag fails here; the block names
+    every subcommand."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [line.split() for line in readme.read_text().splitlines()
+                if line.startswith("qtabu ")]
+    parsed = [_build_parser().parse_args(argv[1:]) for argv in commands]
+    assert {args.command for args in parsed} == {
+        "simulate", "route", "qts", "search-map", "bench-teleport"
+    }
 
 
 def test_repeated_calls_leave_no_cyclic_garbage(tmp_path, capsys):

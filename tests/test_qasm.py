@@ -200,6 +200,27 @@ def test_serialize_rejects_inexpressible():
     assert parse(largest) == Program(MAX_REGISTER_SIZE, MAX_REGISTER_SIZE, [])
 
 
+def test_serialize_refuses_with_the_parsers_message():
+    """``serialize`` writes each instruction as given and parses the text
+    back, so an index or condition value that is not a non-negative int is
+    refused rather than written as text the parser cannot read."""
+    cases = [
+        (Program(2, 0, [GateOp(Gate.X, True)]), "expected qubit index, got 'True'"),
+        (Program(2, 1, [MeasureOp(1.0, 0)]), "unexpected character '.'"),
+        (Program(2, 1, [GateOp(Gate.X, 0, condition=(0, True))]),
+         "expected condition value, got 'True'"),
+        (Program(2, 1, [GateOp(Gate.Z, 0, condition=(0, 1.0))]), "unexpected character '.'"),
+        (Program(2, 1, [MeasureOp(0, -1)]), "unexpected character '-'"),
+        (Program(1, 0, [GateOp(Gate.X, 3)]), "qubit index 3 out of range (register size 1)"),
+        (Program(2, 1, [GateOp(Gate.CX, 1, control=0, condition=(0, 1))]),
+         "only x and z may be conditioned, got 'cx'"),
+    ]
+    for program, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            serialize(program)
+        assert str(excinfo.value) == f"program is not serializable: {message}"
+
+
 def _random_program(rng: np.random.Generator) -> Program:
     n_qubits = int(rng.integers(1, 6))
     n_cbits = int(rng.integers(1, 4))

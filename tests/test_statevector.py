@@ -263,6 +263,24 @@ def test_sample_counts_equal_one_choice_call(shots):
         assert blocks.random() == choice.random()
 
 
+def test_normalized_cdf_is_the_choice_cdf():
+    """``normalized_cdf`` is, bit for bit, the CDF ``Generator.choice`` builds
+    from ``p = probs / probs.sum()``. The formulas that differ from it only in
+    the last bit (``cumsum(probs)`` scaled to end at 1, say) tell apart on
+    about half of these states, and would move ``sample_counts``' draws."""
+    rng = np.random.default_rng(20)
+    for n in range(1, 11):
+        for _ in range(20):
+            amplitudes = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            state = StateVector(n, amplitudes / np.linalg.norm(amplitudes))
+            probs = probabilities(state)
+            p = probs / probs.sum()
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            got = statevector.normalized_cdf(state)
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, cdf.tolist()))
+
+
 def _signed_zero_state(n: int, rng: np.random.Generator) -> StateVector:
     """A random state whose amplitudes include -0.0 real and imaginary parts."""
     real, imag = rng.normal(size=(2, 2**n))
