@@ -19,6 +19,7 @@ error is raised at it.
 The parser is the only home of these rules: :func:`serialize` writes every
 instruction as given and parses its own text back, so it refuses exactly
 what :func:`parse` refuses, with the parser's message.
+
 :func:`compact` rewrites a program onto only the qubits it touches.
 """
 
@@ -279,16 +280,20 @@ def serialize(program: Program) -> str:
     Every instruction is written as given, and the text is parsed back
     before it is returned: the parser is the dialect's one rulebook, so a
     program it would refuse (a register past ``MAX_REGISTER_SIZE``, an
-    index out of range or not an int, a condition other than ``==1`` or on
-    a gate other than x/z) raises ValueError with the parser's message, and
-    every text returned reads back.
+    index out of range or not written in digits, such as a bool or a float,
+    a condition other than ``==1`` or on a gate other than x/z) raises
+    ValueError with the parser's message, and every text returned reads
+    back.
     """
     lines = [f"qreg q[{program.n_qubits}];", f"creg c[{program.n_cbits}];"]
     for ins in program.instructions:
         if isinstance(ins, MeasureOp):
             lines.append(f"measure q[{ins.qubit}] -> c[{ins.cbit}];")
             continue
-        prefix = "" if ins.condition is None else "if(c[{}]=={}) ".format(*ins.condition)
+        prefix = ""
+        if ins.condition is not None:
+            cbit, value = ins.condition
+            prefix = f"if(c[{cbit}]=={value}) "
         operands = ",".join(f"q[{qubit}]" for qubit in _qubits(ins))
         lines.append(f"{prefix}{ins.kind.value} {operands};")
     text = "\n".join(lines) + "\n"

@@ -203,7 +203,8 @@ def test_serialize_rejects_inexpressible():
 def test_serialize_refuses_with_the_parsers_message():
     """``serialize`` writes each instruction as given and parses the text
     back, so an index or condition value that is not a non-negative int is
-    refused rather than written as text the parser cannot read."""
+    refused rather than written as text the parser cannot read, and every
+    refusal carries the parser's own message."""
     cases = [
         (Program(2, 0, [GateOp(Gate.X, True)]), "expected qubit index, got 'True'"),
         (Program(2, 1, [MeasureOp(1.0, 0)]), "unexpected character '.'"),
