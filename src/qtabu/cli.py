@@ -281,26 +281,33 @@ def cmd_search_map(args: argparse.Namespace) -> int:
         candidates = all_directed_pairs(n_physical)
     problem = MapSearchProblem(program, candidates, args.budget)
     # Every run finishes before any output, so an engine error writes nothing.
-    # A run keeps only its row; the best result so far keeps its trace.
+    # Only the current run holds a trace; the best one so far keeps its edges.
     rows = []
-    best = None
+    best_score = best_edges = None
     for run in range(args.runs):
-        with _stage("engine error"):
-            scored = search_best_map(problem, _search_config(args, seed + run))
-        search = scored.search
-        rows.append(
-            f"{run},{seed + run},{scored.score!r},{search.best_iteration},{search.iterations_run}"
-        )
+        row, score, edges = _search_run(args, problem, run, seed + run)
+        rows.append(row)
         # The first run with the highest score wins.
-        if best is None or scored.score > best.score:
-            best = scored
+        if best_score is None or score > best_score:
+            best_score, best_edges = score, edges
     with _out_stream(args) as out:
         print("run,seed,best_score,best_iteration,iterations_run", file=out)
         for row in rows:
             print(row, file=out)
-    print(json.dumps([list(edge) for edge in best.map.edges]))
-    print(f"score={best.score!r}")
+    print(json.dumps([list(edge) for edge in best_edges]))
+    print(f"score={best_score!r}")
     return 0
+
+
+def _search_run(args: argparse.Namespace, problem: MapSearchProblem, run: int, seed: int):
+    """One ``search-map`` run: its CSV row, its score and its map's edges.
+
+    The run's ``ScoredMap``, trace included, is freed on return."""
+    with _stage("engine error"):
+        scored = search_best_map(problem, _search_config(args, seed))
+    search = scored.search
+    row = f"{run},{seed},{scored.score!r},{search.best_iteration},{search.iterations_run}"
+    return row, scored.score, scored.map.edges
 
 
 def cmd_bench_teleport(args: argparse.Namespace) -> int:

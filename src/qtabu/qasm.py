@@ -14,11 +14,15 @@ digits. Parsing stops at the first error and raises :class:`QasmParseError`
 positioned at the offending token. A stray character fails before any
 statement is parsed. The tokenizer keeps only the token texts; a token's
 offset in the source is found, by scanning the source again, only when an
-error is raised at it.
+error is raised at it. Every gate is read on one path: an ``if(c[j]==1)``
+prefix only supplies the condition of the gate that follows it, and one
+reader takes each ``[number]``, a register size or an index alike.
 
-The parser is the only home of these rules: :func:`serialize` writes every
-instruction as given and parses its own text back, so it refuses exactly
-what :func:`parse` refuses, with the parser's message.
+The parser is the only home of these rules, and :func:`serialize` is exactly
+its inverse: it writes every instruction as given, parses its own text back
+and compares the result with the program, so it refuses what :func:`parse`
+refuses, with the parser's message, and text that reads back as another
+program.
 
 :func:`compact` rewrites a program onto only the qubits it touches.
 """
@@ -91,8 +95,8 @@ class _Parser:
             at = min(map(tokens.index, strays))
             raise self.error("syntax", f"unexpected character {tokens[at]!r}", at)
         self.pos = 0
-        self.n_qubits: int | None = None
-        self.n_cbits: int | None = None
+        # Declared register sizes, None until the register is declared.
+        self.sizes: dict[str, int | None] = {"q": None, "c": None}
         self.instructions: list[GateOp | MeasureOp] = []
 
     def error(self, kind: str, message: str, at: int | None = None) -> QasmParseError:
@@ -132,109 +136,93 @@ class _Parser:
             return digits
         return f"{digits[:_MAX_DIGITS]}... ({len(digits)} digits)"
 
+    def indexed(self, what: str) -> tuple[int, int]:
+        """Read ``[ number ]``; return the number and its token index."""
+        self.expect("[")
+        at = self.pos
+        number = self.expect_int(what)
+        self.expect("]")
+        return number, at
+
     def parse(self) -> Program:
         while self.pos < len(self.tokens):
             self.statement()
-        if self.n_qubits is None:
-            raise self.error("syntax", "missing qreg declaration", len(self.tokens))
-        if self.n_cbits is None:
-            raise self.error("syntax", "missing creg declaration", len(self.tokens))
-        return Program(self.n_qubits, self.n_cbits, self.instructions)
+        for keyword in ("qreg", "creg"):
+            if self.sizes[keyword[0]] is None:
+                raise self.error("syntax", f"missing {keyword} declaration", len(self.tokens))
+        return Program(self.sizes["q"], self.sizes["c"], self.instructions)
 
     def statement(self) -> None:
         start = self.pos
         text = self.next()
-        if text == "qreg":
-            self.declaration(text, "q")
-        elif text == "creg":
-            self.declaration(text, "c")
+        condition = None
+        if text == "if":
+            # The prefix only supplies the condition; the gate is read below.
+            self.expect("(")
+            cbit = self.operand("c", "classical bit")
+            self.expect("==")
+            if self.expect_int("condition value") != 1:
+                raise self.error("syntax", "condition value must be 1")
+            self.expect(")")
+            condition = (cbit, 1)
+            text = self.next()
+            if text in _KEYWORDS and text not in ("x", "z"):
+                raise self.error("syntax", f"only x and z may be conditioned, got {text!r}")
+        if text in ("qreg", "creg"):
+            self.declaration(text)
         elif text in _ONE_QUBIT_GATES:
-            qubit = self.qubit_operand()
+            qubit = self.operand("q", "qubit")
             self.expect(";")
-            self.instructions.append(GateOp(_ONE_QUBIT_GATES[text], qubit))
+            self.instructions.append(GateOp(_ONE_QUBIT_GATES[text], qubit, condition=condition))
         elif text == "cx":
-            control = self.qubit_operand()
+            control = self.operand("q", "qubit")
             self.expect(",")
-            target = self.qubit_operand()
+            target = self.operand("q", "qubit")
             self.expect(";")
             if control == target:
                 raise self.error("range", "cx control and target must differ", start)
             self.instructions.append(GateOp(Gate.CX, target, control=control))
         elif text == "measure":
-            qubit = self.qubit_operand()
+            qubit = self.operand("q", "qubit")
             self.expect("->")
-            cbit = self.cbit_operand()
+            cbit = self.operand("c", "classical bit")
             self.expect(";")
             self.instructions.append(MeasureOp(qubit, cbit))
-        elif text == "if":
-            self.conditioned()
         elif text.isidentifier():
             raise self.error("unknown-gate", f"unknown gate {text!r}")
+        elif condition:
+            raise self.error("syntax", f"expected a gate, got {text!r}")
         else:
             raise self.error("syntax", f"unexpected token {text!r}")
 
-    def declaration(self, keyword: str, name: str) -> None:
-        declared = self.n_qubits if name == "q" else self.n_cbits
-        if declared is not None:
+    def declaration(self, keyword: str) -> None:
+        name = keyword[0]  # qreg declares q, creg declares c
+        if self.sizes[name] is not None:
             raise self.error("redeclaration", f"{keyword} already declared")
         got = self.next()
         if got != name:
             raise self.error("syntax", f"register must be named {name!r}, got {got!r}")
-        self.expect("[")
-        size_at = self.pos
-        size = self.expect_int("register size")
-        self.expect("]")
+        size, size_at = self.indexed("register size")
         if size > MAX_REGISTER_SIZE:
             message = (
                 f"{keyword} size {self.number(size_at)} exceeds the limit of {MAX_REGISTER_SIZE}"
             )
             raise self.error("range", message, size_at)
         self.expect(";")
-        if name == "q":
-            self.n_qubits = size
-        else:
-            self.n_cbits = size
+        self.sizes[name] = size
 
-    def conditioned(self) -> None:
-        self.expect("(")
-        cbit = self.cbit_operand()
-        self.expect("==")
-        if self.expect_int("condition value") != 1:
-            raise self.error("syntax", "condition value must be 1")
-        self.expect(")")
-        gate = self.next()
-        if gate in ("x", "z"):
-            kind = _ONE_QUBIT_GATES[gate]
-        elif gate in _KEYWORDS:
-            raise self.error("syntax", f"only x and z may be conditioned, got {gate!r}")
-        elif gate.isidentifier():
-            raise self.error("unknown-gate", f"unknown gate {gate!r}")
-        else:
-            raise self.error("syntax", f"expected a gate, got {gate!r}")
-        qubit = self.qubit_operand()
-        self.expect(";")
-        self.instructions.append(GateOp(kind, qubit, condition=(cbit, 1)))
-
-    def operand(self, name: str, size: int | None, what: str) -> int:
+    def operand(self, name: str, what: str) -> int:
         got = self.next()
         if got != name:
             raise self.error("syntax", f"expected register {name!r}, got {got!r}")
+        size = self.sizes[name]
         if size is None:
             raise self.error("range", f"{what} used before its register is declared")
-        self.expect("[")
-        index_at = self.pos
-        index = self.expect_int(f"{what} index")
-        self.expect("]")
+        index, index_at = self.indexed(f"{what} index")
         if index >= size:
             message = f"{what} index {self.number(index_at)} out of range (register size {size})"
             raise self.error("range", message, index_at)
         return index
-
-    def qubit_operand(self) -> int:
-        return self.operand("q", self.n_qubits, "qubit")
-
-    def cbit_operand(self) -> int:
-        return self.operand("c", self.n_cbits, "classical bit")
 
 
 def parse(source: str) -> Program:
@@ -277,13 +265,15 @@ def compact(program: Program) -> tuple[Program, tuple[int, ...]]:
 def serialize(program: Program) -> str:
     """Render a program in canonical text form, one statement per line.
 
-    Every instruction is written as given, and the text is parsed back
-    before it is returned: the parser is the dialect's one rulebook, so a
-    program it would refuse (a register past ``MAX_REGISTER_SIZE``, an
-    index out of range or not written in digits, such as a bool or a float,
-    a condition other than ``==1`` or on a gate other than x/z) raises
-    ValueError with the parser's message, and every text returned reads
-    back.
+    Exactly :func:`parse`'s inverse: every instruction is written as given,
+    and the text is parsed back and compared with the program before it is
+    returned. A program the parser would refuse (a register past
+    ``MAX_REGISTER_SIZE``, an index out of range or not written in digits,
+    such as a bool or a float, a condition other than ``==1`` or on a gate
+    other than x/z) raises ValueError with the parser's message; one whose
+    text reads back as another program (an operand ``"0"`` read as ``0``, a
+    condition ``[0, 1]`` read as ``(0, 1)``) raises it naming the first
+    such statement.
     """
     lines = [f"qreg q[{program.n_qubits}];", f"creg c[{program.n_cbits}];"]
     for ins in program.instructions:
@@ -298,7 +288,13 @@ def serialize(program: Program) -> str:
         lines.append(f"{prefix}{ins.kind.value} {operands};")
     text = "\n".join(lines) + "\n"
     try:
-        parse(text)
+        back = parse(text)
     except QasmParseError as exc:
         raise ValueError(f"program is not serializable: {exc.message}") from exc
+    if back != program:
+        given = [program.n_qubits, program.n_cbits, *program.instructions]
+        read = [back.n_qubits, back.n_cbits, *back.instructions]
+        wrong = [line for line, a, b in zip(lines, given, read) if a != b]
+        what = repr(wrong[0]) if wrong else "the instruction list"
+        raise ValueError(f"program is not serializable: {what} does not read back as given")
     return text

@@ -136,6 +136,17 @@ def brute_force_knapsack_max(
     return float(values.max())
 
 
+def top_budget_max(profits: tuple[float, ...] | list[float], budget: int) -> float:
+    """The unit-weight knapsack optimum: the sum of the ``budget`` largest profits.
+
+    With every weight 1.0 and capacity ``budget``, a selection of at most
+    ``budget`` items scores its profit, one of ``budget + 1`` items scores 0,
+    and a larger one at most 0. That needs every profit to be >= 0.
+    """
+    assert all(profit >= 0.0 for profit in profits)
+    return float(sum(sorted(profits, reverse=True)[:budget]))
+
+
 def edge_profits(program: Program, edges: tuple[tuple[int, int], ...]) -> list[float]:
     """Each edge's map-search profit, counted straight from the cx list:
     1.0 per cx from its first endpoint to its second, 0.5 per cx the other

@@ -385,6 +385,25 @@ def test_search_map_memory_stays_flat_in_runs(tmp_path, capsys):
     assert peak < 4 * 2**20
 
 
+def test_search_map_holds_one_run_at_a_time(tmp_path, capsys):
+    """At 50,000 iterations a run's trace is most of the memory, and only the
+    run in progress holds one: three runs peak under 1.5 times one run."""
+    teleport = write(tmp_path, "teleport.qasm", serialize(load_teleport()))
+    peaks = {}
+    for runs in (1, 3):
+        argv = ["search-map", teleport, "--physical", "5", "--max-iter", "50000",
+                "--runs", str(runs), "--seed", "0"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peaks[runs] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    assert peaks[3] < 1.5 * peaks[1]
+
+
 def test_search_map_without_profit(tmp_path, capsys):
     circuit = write(tmp_path, "h.qasm", "qreg q[2];\ncreg c[0];\nh q[0];\n")
     code, out, _ = run_cli(capsys, ["search-map", circuit, "--seed", "3"])

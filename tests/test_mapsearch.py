@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_knapsack_max, edge_profits, programs
+from oracles import (
+    brute_force_knapsack_max,
+    edge_profits,
+    programs,
+    top_budget_max,
+)
 from qtabu.mapsearch import (
     DEFAULT_EDGE_BUDGET,
     DIRECT_EDGE_PROFIT,
@@ -23,8 +28,9 @@ from qtabu.mapsearch import (
     search_best_map,
     support_score,
 )
-from qtabu.qasm import parse, serialize
+from qtabu.qasm import Program, parse, serialize
 from qtabu.routing import CouplingMap
+from qtabu.statevector import Gate, GateOp
 from qtabu.tabu import SearchConfig, fitness
 
 # cx on 11 distinct pairs: 22 directed edges carry profit.
@@ -281,6 +287,46 @@ def test_search_best_map_repeated_seeds_hit_optimum():
         if search_best_map(problem, SearchConfig(seed=seed)).score == optimum
     )
     assert hits >= 27
+
+
+def test_top_budget_max_is_the_unit_weight_optimum():
+    """On unit weights the knapsack optimum is the sum of the B largest
+    profits, for every budget from none to more than the items."""
+    rng = np.random.default_rng(5)
+    for n_items in range(17):
+        # Profits in halves, as map search's are: every sum is exact.
+        profits = tuple(float(p) for p in rng.integers(0, 9, size=n_items) / 2)
+        for budget in sorted({0, 1, n_items // 2, n_items, n_items + 1}):
+            assert top_budget_max(profits, budget) == brute_force_knapsack_max(
+                profits, (1.0,) * n_items, float(budget)
+            )
+
+
+@pytest.mark.parametrize(
+    "n_logical, n_physical, budget",
+    [(3, 4, 0), (3, 6, 2), (4, 8, 3), (5, 12, 5), (6, 24, 7), (8, 64, 9)],
+)
+def test_search_best_map_score_is_the_top_budget_sum(n_logical, n_physical, budget):
+    """The map score is the sum of the budget's largest edge profits, on
+    seeded random cx circuits of up to 64 physical qubits (4,032
+    candidates); every budget but 0 is below the profit-bearing edges."""
+    rng = np.random.default_rng(n_physical)
+    pairs = [rng.choice(n_logical, size=2, replace=False) for _ in range(3 * n_logical)]
+    circuit = Program(n_logical, 0, [GateOp(Gate.CX, int(t), control=int(c)) for c, t in pairs])
+    candidates = all_directed_pairs(n_physical)
+    optimum = top_budget_max(edge_profits(circuit, candidates), budget)
+    problem = MapSearchProblem(circuit, candidates, budget)
+    for seed in range(5):
+        assert search_best_map(problem, SearchConfig(seed=seed)).score == optimum
+
+
+def test_a_binding_budget_can_pick_an_unroutable_winner():
+    """Budget 6 is below ELEVEN_CX's eleven interacting pairs: the winner
+    holds the six best edges, which leave the chain unconnected."""
+    problem = MapSearchProblem(parse(ELEVEN_CX), all_directed_pairs(12), 6)
+    scored = search_best_map(problem, SearchConfig(seed=0))
+    assert scored.score == top_budget_max(derive_knapsack(problem).profits, 6) == 6.0
+    assert scored.routing is None
 
 
 def test_search_best_map_prefers_direct_orientations():

@@ -5,6 +5,7 @@ import random
 import re
 import string
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +221,38 @@ def test_serialize_refuses_with_the_parsers_message():
         with pytest.raises(ValueError) as excinfo:
             serialize(program)
         assert str(excinfo.value) == f"program is not serializable: {message}"
+
+
+def test_serialize_refuses_text_that_reads_back_as_another_program():
+    """Text the parser accepts can still be another program: an operand of
+    another type is written as the same digits, and a condition list as the
+    same pair. ``serialize`` compares what its text reads back as with the
+    program and names the first statement that differs."""
+    cases = [
+        (Program(2, 1, [GateOp(Gate.X, "0")]), "x q[0];"),
+        (Program(2, 2, [MeasureOp("1", "0")]), "measure q[1] -> c[0];"),
+        (Program(2, 2, [GateOp(Gate.X, 0, condition=[0, 1])]), "if(c[0]==1) x q[0];"),
+    ]
+    for program, line in cases:
+        with pytest.raises(ValueError) as excinfo:
+            serialize(program)
+        assert str(excinfo.value) == (
+            f"program is not serializable: {line!r} does not read back as given"
+        )
+
+
+def test_readme_dialect_example_parses():
+    """The README's "Circuit dialect" example is dialect text holding every
+    statement form; ``parse`` itself refuses a source missing either
+    declaration."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Circuit dialect", 1)[1].split("```\n")[1]
+    instructions = parse(block).instructions
+    gates = [ins for ins in instructions if isinstance(ins, GateOp)]
+    assert any(ins.kind is not Gate.CX and ins.condition is None for ins in gates)
+    assert any(ins.kind is Gate.CX for ins in gates)
+    assert any(ins.condition is not None for ins in gates)
+    assert any(isinstance(ins, MeasureOp) for ins in instructions)
 
 
 def _random_program(rng: np.random.Generator) -> Program:
