@@ -299,7 +299,9 @@ def cmd_search_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _search_run(args: argparse.Namespace, problem: MapSearchProblem, run: int, seed: int):
+def _search_run(
+    args: argparse.Namespace, problem: MapSearchProblem, run: int, seed: int
+) -> tuple[str, float, tuple[tuple[int, int], ...]]:
     """One ``search-map`` run: its CSV row, its score and its map's edges.
 
     The run's ``ScoredMap``, trace included, is freed on return."""

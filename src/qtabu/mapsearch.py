@@ -22,6 +22,13 @@ Profits and weights are exact dyadic numbers, so that selection's
 ``fitness`` over all candidates equals the run's best evaluation bit for
 bit.
 
+With every weight 1.0 and an integer budget B, the optimum is the sum of
+the B largest profits: a selection of at most B edges scores its profit,
+one of B + 1 edges scores 0, and a larger one at most 0. That sum ignores
+connectivity, so a budget below the circuit's interacting pairs can give a
+winner the circuit cannot be routed on (``cx`` along a chain of 11 pairs at
+a budget of 6).
+
 The engine holds any number of items, so the search is as wide as the
 circuit's profit-bearing edges (teleport gives 4 of them at any number of
 physical qubits); ``MAX_CANDIDATE_EDGES`` bounds the candidate list.

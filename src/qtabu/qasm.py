@@ -295,6 +295,6 @@ def serialize(program: Program) -> str:
         given = [program.n_qubits, program.n_cbits, *program.instructions]
         read = [back.n_qubits, back.n_cbits, *back.instructions]
         wrong = [line for line, a, b in zip(lines, given, read) if a != b]
-        what = repr(wrong[0]) if wrong else "the instruction list"
+        what = repr(wrong[0]) if wrong else "the program"
         raise ValueError(f"program is not serializable: {what} does not read back as given")
     return text

@@ -368,8 +368,8 @@ def test_search_map_engine_error_writes_no_output(tmp_path, capsys, monkeypatch)
 
 
 def test_search_map_memory_stays_flat_in_runs(tmp_path, capsys):
-    """50 runs of 2,000 iterations each: only the best run keeps its trace
-    (about 100 bytes per iteration), the others keep one CSV row."""
+    """50 runs of 2,000 iterations each: only the run in progress holds its
+    trace (about 100 bytes per iteration), and every run keeps one CSV row."""
     teleport = write(tmp_path, "teleport.qasm", serialize(load_teleport()))
     argv = ["search-map", teleport, "--physical", "5", "--max-iter", "2000", "--runs", "50",
             "--seed", "0"]

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (
-    brute_force_knapsack_max,
-    edge_profits,
-    programs,
-    top_budget_max,
-)
+from oracles import brute_force_knapsack_max, edge_profits, programs, top_budget_max
 from qtabu.mapsearch import (
     DEFAULT_EDGE_BUDGET,
     DIRECT_EDGE_PROFIT,

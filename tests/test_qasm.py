@@ -227,17 +227,20 @@ def test_serialize_refuses_text_that_reads_back_as_another_program():
     """Text the parser accepts can still be another program: an operand of
     another type is written as the same digits, and a condition list as the
     same pair. ``serialize`` compares what its text reads back as with the
-    program and names the first statement that differs."""
+    program and names the first statement that differs, or the program when
+    no statement does."""
     cases = [
-        (Program(2, 1, [GateOp(Gate.X, "0")]), "x q[0];"),
-        (Program(2, 2, [MeasureOp("1", "0")]), "measure q[1] -> c[0];"),
-        (Program(2, 2, [GateOp(Gate.X, 0, condition=[0, 1])]), "if(c[0]==1) x q[0];"),
+        (Program(2, 1, [GateOp(Gate.X, "0")]), "'x q[0];'"),
+        (Program(2, 2, [MeasureOp("1", "0")]), "'measure q[1] -> c[0];'"),
+        (Program(2, 2, [GateOp(Gate.X, 0, condition=[0, 1])]), "'if(c[0]==1) x q[0];'"),
+        # Each statement reads back as given, but into a list, not a tuple.
+        (Program(1, 0, (GateOp(Gate.X, 0),)), "the program"),
     ]
-    for program, line in cases:
+    for program, what in cases:
         with pytest.raises(ValueError) as excinfo:
             serialize(program)
         assert str(excinfo.value) == (
-            f"program is not serializable: {line!r} does not read back as given"
+            f"program is not serializable: {what} does not read back as given"
         )
 
 
