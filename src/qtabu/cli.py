@@ -281,35 +281,39 @@ def cmd_search_map(args: argparse.Namespace) -> int:
         candidates = all_directed_pairs(n_physical)
     problem = MapSearchProblem(program, candidates, args.budget)
     # Every run finishes before any output, so an engine error writes nothing.
-    # Only the current run holds a trace; the best one so far keeps its edges.
+    # Only the current run holds a trace; the best one so far keeps its edges
+    # and whether the circuit routes on them.
     rows = []
-    best_score = best_edges = None
+    best_score = best_edges = best_routable = None
     for run in range(args.runs):
-        row, score, edges = _search_run(args, problem, run, seed + run)
+        row, score, edges, routable = _search_run(args, problem, run, seed + run)
         rows.append(row)
         # The first run with the highest score wins.
         if best_score is None or score > best_score:
-            best_score, best_edges = score, edges
+            best_score, best_edges, best_routable = score, edges, routable
     with _out_stream(args) as out:
         print("run,seed,best_score,best_iteration,iterations_run", file=out)
         for row in rows:
             print(row, file=out)
     print(json.dumps([list(edge) for edge in best_edges]))
     print(f"score={best_score!r}")
+    if not best_routable:
+        print("# best map cannot route the circuit", file=sys.stderr)
     return 0
 
 
 def _search_run(
     args: argparse.Namespace, problem: MapSearchProblem, run: int, seed: int
-) -> tuple[str, float, tuple[tuple[int, int], ...]]:
-    """One ``search-map`` run: its CSV row, its score and its map's edges.
+) -> tuple[str, float, tuple[tuple[int, int], ...], bool]:
+    """One ``search-map`` run: its CSV row, its score, its map's edges and
+    whether the circuit routes on that map.
 
     The run's ``ScoredMap``, trace included, is freed on return."""
     with _stage("engine error"):
         scored = search_best_map(problem, _search_config(args, seed))
     search = scored.search
     row = f"{run},{seed},{scored.score!r},{search.best_iteration},{search.iterations_run}"
-    return row, scored.score, scored.map.edges
+    return row, scored.score, scored.map.edges, scored.routing is not None
 
 
 def cmd_bench_teleport(args: argparse.Namespace) -> int:

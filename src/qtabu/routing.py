@@ -150,11 +150,7 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
     measurements follow their logical qubit through swaps.
     """
     if cmap is None:
-        n_cx = sum(
-            1
-            for ins in program.instructions
-            if isinstance(ins, GateOp) and ins.kind is Gate.CX
-        )
+        n_cx = len(cx_pairs(program))
         return program, RoutingReport(n_cx, 0, 0, 0, tuple(range(program.n_qubits)))
     if program.n_qubits > cmap.n_physical:
         raise RoutingError(
@@ -217,6 +213,15 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
     return Program(cmap.n_physical, program.n_cbits, out), report
 
 
+def cx_pairs(program: Program) -> list[tuple[int, int]]:
+    """The ``(control, target)`` pair of every cx in ``program``, in order."""
+    return [
+        (ins.control, ins.target)
+        for ins in program.instructions
+        if isinstance(ins, GateOp) and ins.kind is Gate.CX
+    ]
+
+
 def direct_support_count(program: Program, cmap: CouplingMap) -> tuple[int, int, int]:
     """Classify each cx against the map without routing.
 
@@ -225,8 +230,6 @@ def direct_support_count(program: Program, cmap: CouplingMap) -> tuple[int, int,
     """
     edges = set(cmap.edges)
     counts = {"direct": 0, "reversed": 0, None: 0}
-    for ins in program.instructions:
-        if isinstance(ins, GateOp) and ins.kind is Gate.CX:
-            assert ins.control is not None
-            counts[_orientation(edges, ins.control, ins.target)] += 1
+    for control, target in cx_pairs(program):
+        counts[_orientation(edges, control, target)] += 1
     return counts["direct"], counts["reversed"], counts[None]

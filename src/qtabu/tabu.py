@@ -25,6 +25,8 @@ Fitness is profit times a soft capacity penalty:
     f(s) = (sum_i b_i s_i) * (1 - max(0, sum_i w_i s_i - max_capacity))
 
 which goes negative when the load exceeds capacity by more than one unit.
+``_neighbourhood`` is its only home: it scores a selection and all its
+single-bit flips in one loop, and ``fitness`` reads the selection's value.
 
 A run keeps to a few hundred distinct selections and stands on most of them
 again and again, so it scores each one once: its value, the score of every
@@ -120,13 +122,15 @@ class KnapsackInstance:
             if not math.isfinite(total):
                 raise ValueError(f"{name} must be finite, got {total!r}")
         # The engine scores flips in Python floats and takes a selection's
-        # sums from read-only arrays, both built once here.
+        # sums from read-only arrays, both built once here. ``_neighbourhood``
+        # reads the floats from ``_padded``: each tuple with a 0.0 item last.
         for name in ("profits", "weights"):
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         arrays = tuple(np.array(values) for values in (self.profits, self.weights))
         for array in arrays:
             array.flags.writeable = False
         object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "_padded", (self.profits + (0.0,), self.weights + (0.0,)))
 
     @property
     def n_items(self) -> int:
@@ -188,21 +192,15 @@ def _sums(instance: KnapsackInstance, bits: Sequence[int]) -> tuple[float, float
     return float(profits @ chosen), float(weights @ chosen)
 
 
-def _value(profit: float, load: float, max_capacity: float) -> float:
-    """Profit times the soft capacity penalty of the module docstring."""
-    excess = load - max_capacity
-    return profit * (1.0 - excess if excess > 0.0 else 1.0)
-
-
 def fitness(instance: KnapsackInstance, bits: Sequence[int]) -> float:
     """Evaluate one selection; overweight selections are penalized, not clamped.
 
-    The search scores each selection from the same two sums, so this is
-    bit for bit the value a run reports.
+    This is the value ``_neighbourhood`` gives the selection, so it is bit
+    for bit the value a run reports.
     """
     if len(bits) != instance.n_items:
         raise ValueError(f"expected {instance.n_items} bits, got {len(bits)}")
-    return _value(*_sums(instance, bits), instance.max_capacity)
+    return _neighbourhood(instance, bits)[0]
 
 
 @dataclass(frozen=True)
@@ -318,6 +316,10 @@ class EngineCounters:
     all_tabu_fallbacks: int = 0  # selections that took the oldest tabu move
 
 
+# The counters' names, copied from a run's state into its result.
+_COUNTERS = tuple(counter.name for counter in fields(EngineCounters))
+
+
 @dataclass
 class SearchState(EngineCounters):
     """Mutable state threaded through one search run's moves and escapes."""
@@ -376,24 +378,34 @@ def sample_candidate(
     return _as_population(population).sample(rng)
 
 
-def _neighbourhood(instance: KnapsackInstance, bits: CandidateSolution) -> Neighbourhood:
+def _neighbourhood(instance: KnapsackInstance, bits: Sequence[int]) -> Neighbourhood:
     """Score one selection and every single-bit flip of it from its two sums.
 
-    Each flip is scored in plain Python floats: at these sizes numpy's
-    per-call overhead would dominate. Taking an item out or putting it in
-    is the same IEEE operation as adding ``value * sign`` to the sums with
-    ``sign = -1.0`` or ``1.0``, so the scores equal a vectorised numpy
-    formula bit for bit. ``sorted`` is stable with ``reverse=True`` too, so
-    equal scores stay in item order.
+    This is the only home of the module docstring's formula. Each flip is
+    scored in plain Python floats, in one loop with no call per item: at
+    these sizes numpy's per-call overhead would dominate. Taking an item
+    out or putting it in is the same IEEE operation as adding
+    ``value * sign`` to the sums with ``sign = -1.0`` or ``1.0``, so the
+    scores equal a vectorised numpy formula bit for bit. The selection's
+    own value comes out of the same loop as a last flip that takes out an
+    item of profit and weight 0.0: ``x - 0.0`` is ``x``, signed zeros
+    included. ``sorted`` is stable with ``reverse=True`` too, so equal
+    scores stay in item order.
     """
     profit, load = _sums(instance, bits)
     capacity = instance.max_capacity
-    scores = [
-        _value(profit - p, load - w, capacity) if bit else _value(profit + p, load + w, capacity)
-        for bit, p, w in zip(bits, instance.profits, instance.weights)
-    ]
+    scores = []
+    for bit, p, w in zip((*bits, 1), *instance._padded):
+        if bit:
+            flip_profit = profit - p
+            excess = load - w - capacity
+        else:
+            flip_profit = profit + p
+            excess = load + w - capacity
+        scores.append(flip_profit * (1.0 - excess if excess > 0.0 else 1.0))
+    value = scores.pop()
     ranked = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
-    return _value(profit, load, capacity), scores, ranked
+    return value, scores, ranked
 
 
 def select_move(state: SearchState, hood: Neighbourhood) -> tuple[CandidateSolution, int]:
@@ -406,17 +418,25 @@ def select_move(state: SearchState, hood: Neighbourhood) -> tuple[CandidateSolut
     none aspirates, the oldest tabu move is taken.
     """
     _, scores, ranked = hood
-    tabu_items = set(state.tabu_list)
-    blocked = {k for k in tabu_items if scores[k] <= state.best_evaluation}
-    state.tabu_blocked += len(blocked)
+    tabu_list = state.tabu_list
+    best = state.best_evaluation
+    # An item may sit in the list twice; it is blocked, and counted, once.
+    # A loop, not a set comprehension: on Python 3.11 that costs a function
+    # call per move.
+    blocked = set()
+    for k in tabu_list:
+        if scores[k] <= best:
+            blocked.add(k)
+    if blocked:
+        state.tabu_blocked += len(blocked)
     for best_k in ranked:
         if best_k not in blocked:
-            if best_k in tabu_items:
+            if best_k in tabu_list:
                 state.aspiration_accepts += 1
             break
     else:
         state.all_tabu_fallbacks += 1
-        best_k = state.tabu_list[0]
+        best_k = tabu_list[0]
     flipped = list(state.current)
     flipped[best_k] ^= 1
     return tuple(flipped), best_k
@@ -461,46 +481,54 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     # next iteration's moves; the first CACHE_SCORES // n scored are kept.
     cache: dict[CandidateSolution, Neighbourhood] = {}
     room = CACHE_SCORES // n
+    lookup = cache.get
 
-    def neighbourhood(bits: CandidateSolution) -> Neighbourhood:
-        hood = cache.get(bits)
-        if hood is None:
-            hood = _neighbourhood(instance, bits)
-            if len(cache) < room:
-                cache[bits] = hood
+    def score(bits: CandidateSolution) -> Neighbourhood:
+        """Score a selection the cache missed, keeping it while there is room."""
+        hood = _neighbourhood(instance, bits)
+        if len(cache) < room:
+            cache[bits] = hood
         return hood
 
-    hood = neighbourhood(current)
+    hood = score(current)
+    best = hood[0]
     state = SearchState(
         population=population,
         current=current,
         best_solution=current,
-        best_evaluation=hood[0],
+        best_evaluation=best,
         best_iteration=0,
         iteration=0,
         tabu_list=deque(maxlen=config.tenure(n)),
     )
+    push = state.tabu_list.append
     trace: list[tuple[int, float, float]] = []
+    record = trace.append
+    limit = config.stagnation_limit
+    # The stagnation clock runs out after iteration clock_start + limit.
+    escape_after = limit
     for iteration in range(1, config.max_iterations + 1):
         state.iteration = iteration
-        if iteration - state.clock_start > config.stagnation_limit:
+        if iteration > escape_after:
             escape(state, rng)
-            hood = neighbourhood(state.current)
+            escape_after = state.clock_start + limit
+            hood = lookup(state.current) or score(state.current)
         chosen, flipped = select_move(state, hood)
         state.current = chosen
-        state.tabu_list.append(flipped)
-        hood = neighbourhood(chosen)
+        push(flipped)
+        hood = lookup(chosen) or score(chosen)
         current_eval = hood[0]
-        if current_eval > state.best_evaluation:
+        if current_eval > best:
+            best = state.best_evaluation = current_eval
             state.best_solution = chosen
-            state.best_evaluation = current_eval
             state.best_iteration = state.clock_start = iteration
-        trace.append((iteration, current_eval, state.best_evaluation))
+            escape_after = iteration + limit
+        record((iteration, current_eval, best))
     return SearchResult(
         best_solution=state.best_solution,
-        best_evaluation=state.best_evaluation,
+        best_evaluation=best,
         best_iteration=state.best_iteration,
         iterations_run=config.max_iterations,
         trace=trace,
-        **{counter.name: getattr(state, counter.name) for counter in fields(EngineCounters)},
+        **{name: getattr(state, name) for name in _COUNTERS},
     )

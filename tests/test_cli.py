@@ -367,6 +367,20 @@ def test_search_map_engine_error_writes_no_output(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_search_map_reports_an_unroutable_winner(tmp_path, capsys):
+    """Budget 6 is below ELEVEN_CX's eleven interacting pairs, so the best
+    map cannot route the chain: one stderr line says so. At budget 11 the
+    winner routes and stderr holds only the seed."""
+    circuit = write(tmp_path, "cx.qasm", ELEVEN_CX)
+    argv = ["search-map", circuit, "--physical", "12", "--runs", "2", "--seed", "0"]
+    code, out, err = run_cli(capsys, argv + ["--budget", "6"])
+    assert (code, out.splitlines()[-1]) == (0, "score=6.0")
+    assert err == "seed=0\n# best map cannot route the circuit\n"
+    code, out, err = run_cli(capsys, argv + ["--budget", "11"])
+    assert (code, out.splitlines()[-1]) == (0, "score=11.0")
+    assert err == "seed=0\n"
+
+
 def test_search_map_memory_stays_flat_in_runs(tmp_path, capsys):
     """50 runs of 2,000 iterations each: only the run in progress holds its
     trace (about 100 bytes per iteration), and every run keeps one CSV row."""

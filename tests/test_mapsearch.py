@@ -101,6 +101,39 @@ def test_derive_knapsack_one_edge_profits():
     assert inst.profits == (2.5, 2.0, 0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_derived_profits_are_one_edge_support_scores(data):
+    """Each edge's profit is, to the byte, ``support_score`` of the map that
+    holds that edge alone; the candidates always reach past the circuit."""
+    circuit = data.draw(programs(max_qubits=6))
+    n_physical = circuit.n_qubits + data.draw(st.integers(1, 3))
+    pairs = all_directed_pairs(n_physical)
+    candidates = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=30, unique=True))
+    past = (circuit.n_qubits, data.draw(st.integers(0, circuit.n_qubits - 1)))
+    if past not in candidates:
+        candidates.insert(data.draw(st.integers(0, len(candidates))), past)
+    problem = MapSearchProblem(circuit, tuple(candidates))
+    as_bytes = struct.Struct("<d").pack
+    assert [as_bytes(profit) for profit in derive_knapsack(problem).profits] == [
+        as_bytes(support_score(circuit, CouplingMap.spanning((edge,)))) for edge in candidates
+    ]
+
+
+def test_derived_profits_over_every_pair_of_64_qubits():
+    """All 4,032 directed pairs of 64 qubits against the cx census, on a
+    seeded circuit of 300 cx over 40 qubits with repeated and reversed pairs."""
+    rng = np.random.default_rng(64)
+    pairs = [rng.choice(40, size=2, replace=False) for _ in range(150)]
+    pairs += [pairs[k][::-1] for k in range(0, 150, 3)] + pairs[:100]
+    circuit = Program(40, 0, [GateOp(Gate.CX, int(t), control=int(c)) for c, t in pairs])
+    candidates = all_directed_pairs(64)
+    assert len(candidates) == 4032
+    profits = derive_knapsack(MapSearchProblem(circuit, candidates)).profits
+    assert list(profits) == edge_profits(circuit, candidates)
+    assert sum(profit > 0.0 for profit in profits) > 200
+
+
 def test_search_best_map_limits_profit_bearing_edges_only():
     """Of 132 candidates the engine sees only the 22 that carry profit, and
     the selection lands on those alone."""

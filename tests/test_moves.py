@@ -27,8 +27,8 @@ MODES = ("with_replacement", "without_replacement")
 
 
 @st.composite
-def fractional_instances(draw, max_items: int = 20) -> KnapsackInstance:
-    n = draw(st.integers(1, max_items))
+def fractional_instances(draw, max_items: int = 20, min_items: int = 1) -> KnapsackInstance:
+    n = draw(st.integers(min_items, max_items))
     profits = draw(st.lists(st.floats(0.5, 30.0), min_size=n, max_size=n))
     weights = draw(st.lists(st.floats(0.1, 15.0), min_size=n, max_size=n))
     capacity = sum(weights) * draw(st.floats(0.0, 1.0))
@@ -38,7 +38,30 @@ def fractional_instances(draw, max_items: int = 20) -> KnapsackInstance:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_select_move_matches_vectorised_oracle(data):
-    instance = data.draw(fractional_instances())
+    _check_move_against_oracle(data, data.draw(fractional_instances()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_select_move_matches_vectorised_oracle_past_20_items(data):
+    _check_move_against_oracle(data, data.draw(fractional_instances(128, min_items=21)))
+
+
+def _state(current: tuple[int, ...], tabu_list: list[int], best_evaluation: float) -> SearchState:
+    return SearchState(
+        population=init_population(len(current)),
+        current=current,
+        best_solution=current,
+        best_evaluation=best_evaluation,
+        best_iteration=0,
+        iteration=1,
+        tabu_list=deque(tabu_list),
+    )
+
+
+def _check_move_against_oracle(data, instance: KnapsackInstance) -> None:
+    """One move from a drawn selection, tabu list and best, against the
+    oracle's move and the counters it implies."""
     n = instance.n_items
     args = (instance.profits, instance.weights, instance.max_capacity)
     current = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
@@ -52,15 +75,7 @@ def test_select_move_matches_vectorised_oracle(data):
         best_evaluation = data.draw(st.floats(-1000.0, 600.0))
     else:
         best_evaluation = float(scores[pinned])
-    state = SearchState(
-        population=init_population(n),
-        current=current,
-        best_solution=current,
-        best_evaluation=best_evaluation,
-        best_iteration=0,
-        iteration=1,
-        tabu_list=deque(tabu_list),
-    )
+    state = _state(current, tabu_list, best_evaluation)
 
     move = tabu.select_move(state, tabu._neighbourhood(instance, current))
 
@@ -70,6 +85,27 @@ def test_select_move_matches_vectorised_oracle(data):
     assert state.tabu_blocked == blocked
     assert state.all_tabu_fallbacks == int(blocked == n)
     assert state.aspiration_accepts == int(blocked < n and move[1] in live)
+
+
+def test_an_item_twice_in_the_tabu_list_counts_once():
+    """Flip scores from the empty selection are 3.0, 4.0 and 2.0. Item 1,
+    listed twice, is blocked once under a best of 5.0 and aspirates once
+    under 3.5; with every item listed and none aspirating, three distinct
+    items are blocked out of five entries and the oldest entry is flipped."""
+    instance = KnapsackInstance((3.0, 4.0, 2.0), (1.0, 1.0, 1.0), 10.0)
+    current = (0, 0, 0)
+    cases = [
+        ([1, 1], 5.0, ((1, 0, 0), 0), (1, 0, 0)),
+        ([1, 1], 3.5, ((0, 1, 0), 1), (0, 1, 0)),
+        ([1, 0, 1, 2, 0], 10.0, ((0, 1, 0), 1), (3, 0, 1)),
+    ]
+    for tabu_list, best, move, counters in cases:
+        state = _state(current, tabu_list, best)
+        assert tabu.select_move(state, tabu._neighbourhood(instance, current)) == move
+        assert (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks) == counters
+        assert move == oracles.select_move(
+            instance.profits, instance.weights, instance.max_capacity, current, tabu_list, best
+        )
 
 
 def _recorded_run(instance: KnapsackInstance, config: SearchConfig):
@@ -275,9 +311,20 @@ def test_every_move_of_a_run_matches_the_oracle(instance, seed, mode, stagnation
 @settings(max_examples=100, deadline=None)
 @given(*RUN_SETTINGS)
 def test_runs_that_rescore_every_visit_are_identical(instance, seed, mode, stagnation, tenure):
+    _check_rescored_run(instance, _run_config(seed, mode, stagnation, tenure))
+
+
+@settings(max_examples=15, deadline=None)
+@given(fractional_instances(128, min_items=21), *RUN_SETTINGS[1:])
+def test_runs_past_20_items_that_rescore_every_visit_are_identical(
+    instance, seed, mode, stagnation, tenure
+):
+    _check_rescored_run(instance, _run_config(seed, mode, stagnation, tenure))
+
+
+def _check_rescored_run(instance: KnapsackInstance, config: SearchConfig) -> None:
     """With no room in the cache every lookup scores afresh; the result,
     trace and counters must not change, down to the sign of a zero."""
-    config = _run_config(seed, mode, stagnation, tenure)
     cached = tabu.qts_run(instance, config)
     with mock.patch.object(tabu, "CACHE_SCORES", 0):
         rescored = tabu.qts_run(instance, config)
