@@ -113,12 +113,15 @@ def derive_knapsack(problem: MapSearchProblem) -> KnapsackInstance:
     The circuit's cx pairs are tallied once, and edge ``(a, b)`` earns
     ``_support`` of the cx from ``a`` to ``b`` and of those from ``b`` to
     ``a``: ``support_score`` of the map holding that edge alone, in time
-    linear in the edges plus the gates.
+    linear in the edges plus the gates. A budget of at least the candidate
+    count fits every edge, so the capacity is the budget capped at that
+    count: the same scores, and a float for any budget.
     """
     tally = Counter(cx_pairs(problem.circuit))
     profits = tuple(_support(tally[a, b], tally[b, a]) for a, b in problem.candidate_edges)
     weights = (1.0,) * len(problem.candidate_edges)
-    return KnapsackInstance(profits, weights, float(problem.edge_budget))
+    capacity = min(problem.edge_budget, len(weights))
+    return KnapsackInstance(profits, weights, float(capacity))
 
 
 def decode(bits: Sequence[int], problem: MapSearchProblem) -> CouplingMap:

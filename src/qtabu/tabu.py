@@ -121,24 +121,15 @@ class KnapsackInstance:
         for name, total in totals:
             if not math.isfinite(total):
                 raise ValueError(f"{name} must be finite, got {total!r}")
-        # The engine scores flips in Python floats and takes a selection's
-        # sums from read-only arrays, both built once here. ``_neighbourhood``
-        # reads the floats from ``_padded``: each tuple with a 0.0 item last.
+        # The engine sums and scores in Python floats. ``_neighbourhood``
+        # reads them from ``_padded``: each tuple with a 0.0 item last.
         for name in ("profits", "weights"):
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        arrays = tuple(np.array(values) for values in (self.profits, self.weights))
-        for array in arrays:
-            array.flags.writeable = False
-        object.__setattr__(self, "_arrays", arrays)
         object.__setattr__(self, "_padded", (self.profits + (0.0,), self.weights + (0.0,)))
 
     @property
     def n_items(self) -> int:
         return len(self.profits)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Profits and weights as read-only float arrays."""
-        return self._arrays
 
 
 def _number(kind: type, text: str, line: int, field: str) -> float:
@@ -180,26 +171,19 @@ def parse_instance(text: str) -> KnapsackInstance:
     return KnapsackInstance(tuple(profits), tuple(weights), max_capacity)
 
 
-def _sums(instance: KnapsackInstance, bits: Sequence[int]) -> tuple[float, float]:
-    """Total profit and load of one selection, the only place they are summed.
-
-    They stay numpy dot products on purpose: on fractional data past ten
-    items a left-to-right Python sum often differs from the dot in the last
-    bit, which would change seeded results.
-    """
-    profits, weights = instance.arrays()
-    chosen = np.asarray(bits, dtype=float)
-    return float(profits @ chosen), float(weights @ chosen)
-
-
 def fitness(instance: KnapsackInstance, bits: Sequence[int]) -> float:
     """Evaluate one selection; overweight selections are penalized, not clamped.
 
     This is the value ``_neighbourhood`` gives the selection, so it is bit
-    for bit the value a run reports.
+    for bit the value a run reports. A bit that is not 0 or 1 raises
+    ``ValueError``; the engine's own bits are always 0 or 1 and skip this
+    check.
     """
     if len(bits) != instance.n_items:
         raise ValueError(f"expected {instance.n_items} bits, got {len(bits)}")
+    for k, bit in enumerate(bits):
+        if bit not in (0, 1):
+            raise ValueError(f"bits[{k}] must be 0 or 1, got {bit!r}")
     return _neighbourhood(instance, bits)[0]
 
 
@@ -381,18 +365,26 @@ def sample_candidate(
 def _neighbourhood(instance: KnapsackInstance, bits: Sequence[int]) -> Neighbourhood:
     """Score one selection and every single-bit flip of it from its two sums.
 
-    This is the only home of the module docstring's formula. Each flip is
-    scored in plain Python floats, in one loop with no call per item: at
-    these sizes numpy's per-call overhead would dominate. Taking an item
-    out or putting it in is the same IEEE operation as adding
-    ``value * sign`` to the sums with ``sign = -1.0`` or ``1.0``, so the
-    scores equal a vectorised numpy formula bit for bit. The selection's
-    own value comes out of the same loop as a last flip that takes out an
-    item of profit and weight 0.0: ``x - 0.0`` is ``x``, signed zeros
-    included. ``sorted`` is stable with ``reverse=True`` too, so equal
-    scores stay in item order.
+    This is the only home of the module docstring's formula and of a
+    selection's two sums. The sums run left to right in a ``+=`` loop, so
+    seeded output is the same on every host: ``sum`` of floats is
+    compensated from Python 3.12 on, and a BLAS dot product sums in an
+    order the host's CPU picks. Each flip is scored in plain Python floats
+    too, in one loop with no call per item: at these sizes numpy's
+    per-call overhead would dominate. Taking an item out or
+    putting it in is the same IEEE operation as adding ``value * sign`` to
+    the sums with ``sign = -1.0`` or ``1.0``, so the scores equal a
+    vectorised numpy formula over the same sums bit for bit. The
+    selection's own value comes out of the same loop as a last flip that
+    takes out an item of profit and weight 0.0: ``x - 0.0`` is ``x``,
+    signed zeros included. ``sorted`` is stable with ``reverse=True`` too,
+    so equal scores stay in item order.
     """
-    profit, load = _sums(instance, bits)
+    profit = load = 0.0
+    for bit, p, w in zip(bits, instance.profits, instance.weights):
+        if bit:
+            profit += p
+            load += w
     capacity = instance.max_capacity
     scores = []
     for bit, p, w in zip((*bits, 1), *instance._padded):

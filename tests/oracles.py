@@ -167,15 +167,20 @@ def flip_scores(
 ) -> np.ndarray:
     """Fitness of every single-flip neighbour, vectorised over numpy arrays.
 
-    Each flip adds ``value * sign`` to the selection's dot-product sums, with
+    The selection's sums are taken left to right, as
+    ``brute_force_knapsack_max`` takes them (a dot product's order depends
+    on the host's BLAS). Each flip adds ``value * sign`` to them, with
     ``sign`` -1.0 for a set bit and 1.0 for a clear one.
     """
+    profit = load = 0.0
+    for bit, p, w in zip(bits, profits, weights):
+        profit = profit + bit * p
+        load = load + bit * w
     profit_array = np.array(profits, dtype=float)
     weight_array = np.array(weights, dtype=float)
-    chosen = np.asarray(bits, dtype=float)
-    sign = 1.0 - 2.0 * chosen
-    flip_profit = float(profit_array @ chosen) + profit_array * sign
-    flip_load = float(weight_array @ chosen) + weight_array * sign
+    sign = 1.0 - 2.0 * np.asarray(bits, dtype=float)
+    flip_profit = profit + profit_array * sign
+    flip_load = load + weight_array * sign
     return flip_profit * (1.0 - np.maximum(0.0, flip_load - capacity))
 
 

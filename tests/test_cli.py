@@ -381,6 +381,16 @@ def test_search_map_reports_an_unroutable_winner(tmp_path, capsys):
     assert err == "seed=0\n"
 
 
+def test_search_map_budget_past_every_candidate(tmp_path, capsys):
+    """A budget of 400 nines is past any float, yet fits the 20 candidate
+    edges of 5 physical qubits as a budget of 20 does: the same output."""
+    teleport = write(tmp_path, "teleport.qasm", serialize(load_teleport()))
+    argv = ["search-map", teleport, "--physical", "5", "--runs", "2", "--seed", "0", "--budget"]
+    code, out, err = run_cli(capsys, argv + ["9" * 400])
+    assert (code, err) == (0, "seed=0\n")
+    assert (code, out, err) == run_cli(capsys, argv + ["20"])
+
+
 def test_search_map_memory_stays_flat_in_runs(tmp_path, capsys):
     """50 runs of 2,000 iterations each: only the run in progress holds its
     trace (about 100 bytes per iteration), and every run keeps one CSV row."""

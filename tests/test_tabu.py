@@ -98,6 +98,21 @@ def test_fitness_matches_formula():
         fitness(KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0), (1, 1, 0))
 
 
+def test_fitness_rejects_bits_other_than_0_and_1():
+    """A selection holds one 0/1 bit per item, so 2, -1, 0.5 or NaN is
+    refused, the first such bit named; True and 1.0 equal 1 and pass."""
+    inst = KnapsackInstance((3.0,), (1.0,), 5.0)
+    for bit in (2, -1, 0.5, float("nan")):
+        with pytest.raises(ValueError, match=rf"bits\[0\] must be 0 or 1, got {bit!r}"):
+            fitness(inst, (bit,))
+    pair = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
+    with pytest.raises(ValueError, match=r"bits\[1\] must be 0 or 1, got 3"):
+        fitness(pair, (1, 3))
+    with pytest.raises(ValueError, match=r"bits\[0\] must be 0 or 1, got 2"):
+        fitness(pair, (2, -1))
+    assert fitness(pair, (True, 1.0)) == fitness(pair, (1, 1)) == 7.0
+
+
 def test_fitness_penalty_is_unclamped():
     # one unit over capacity zeroes the value; more goes negative
     inst = KnapsackInstance((5.0,), (3.0,), 2.0)
