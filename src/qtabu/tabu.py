@@ -34,6 +34,16 @@ single-bit flip and those flips ranked best first go into a per-run cache
 keyed by the selection. The cache holds at most ``CACHE_SCORES`` flip
 scores (``CACHE_SCORES // n_items`` selections) at any ``max_iterations``;
 once it is full, new selections are scored on every visit but not stored.
+
+It also makes most of its moves more than once: while the best value
+holds, a move is fixed by the selection and the tabu list's items in
+order, so ``qts_run`` keeps a per-run memo keyed by
+``(current, *tabu_list)`` and replays a repeated move (the chosen
+selection, the flipped item, its neighbourhood and the counter increments)
+without calling ``select_move``. The memo is cleared whenever the best
+improves and holds at most ``CACHE_SCORES // n_items`` moves, so with no
+room in the cache every move goes through ``select_move``, with the same
+bytes.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import Iterable, Literal, Sequence, get_args
 
 import numpy as np
@@ -66,6 +77,8 @@ _STEPS: dict[tuple[bytes, GateOp], tuple[np.ndarray, tuple[float, ...]]] = {}
 # when there is only one item (indexed by ``n_items >= 2``).
 _ESCAPE_CX = GateOp(Gate.CX, 1, control=0)
 _ESCAPE_H = (GateOp(Gate.H, 0), GateOp(Gate.H, 1))
+# Binary digits as text to their values: b"0" -> 0 and b"1" -> 1.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # A selection's value, the score of flipping each item, and the items
 # ranked by that score, best first with ties to the lowest index.
@@ -234,6 +247,25 @@ class Population:
         self.head = head
         self.tail = tail
         self._cdf = tuple(normalized_cdf(head).tolist())
+        # The tail's blocks from the highest down, each taking one binary
+        # digit of a draw, and a new draw once 32 qubits are walked: the
+        # number of digits (and 2.0 to that power) taken from each draw.
+        coins, walked = [0], 0
+        for width in reversed(tail):
+            if walked >= 32:
+                coins.append(0)
+                walked = 0
+            coins[-1] += 1
+            walked += width
+        self._draws = tuple((t, 2.0**t) for t in coins)
+        # A sample's digits are a leading 1, every coin in walk order, then
+        # the head's index with its highest qubit first; pick them out in
+        # qubit order, a block's digit once for each of its qubits.
+        h, total = head.n_qubits, len(tail)
+        picks = [total + h - q for q in range(h)]
+        for j, width in enumerate(tail):
+            picks += [total - j] * width
+        self._pick = itemgetter(*picks) if len(picks) > 1 else lambda digits: (digits[picks[0]],)
 
     def apply(self, op: GateOp) -> None:
         """Apply one gate to the head in place.
@@ -266,22 +298,21 @@ class Population:
         evenly between two outcomes, so it takes the next binary digit of
         ``u`` for all its qubits; what is left of ``u`` picks the head's
         entry (the first CDF entry above it, as ``searchsorted(side="right")``
-        does). Doubling and subtracting 1 are exact here, so the tail adds no
-        rounding to the dense ``2**n`` inverse CDF. A draw holds 53 binary
-        digits, so ``u`` is drawn from ``rng`` again each time the walk has
-        passed 32 qubits since the last draw: up to 32 qubits take one draw.
+        does). The ``t`` digits a draw gives are ``int(u * 2**t)``, and what
+        is left is ``u * 2**t`` minus them: scaling by a power of two and
+        that subtraction are exact, so the tail adds no rounding to the
+        dense ``2**n`` inverse CDF. A draw holds 53 binary digits, so ``u``
+        is drawn from ``rng`` again each time the walk has passed 32 qubits
+        since the last draw: up to 32 qubits take one draw.
         """
-        u, walked = rng.random(), 0
-        tail_bits: list[int] = []
-        for width in reversed(self.tail):
-            if walked >= 32:
-                u, walked = rng.random(), 0
-            coin = u >= 0.5
-            u = u + u - coin
-            tail_bits.extend((int(coin),) * width)
-            walked += width
-        index = bisect_right(self._cdf, u)
-        return (*((index >> q) & 1 for q in range(self.head.n_qubits)), *reversed(tail_bits))
+        digits = 1
+        for t, scale in self._draws:
+            u = rng.random() * scale
+            coins = int(u)
+            digits = digits << t | coins
+        index = bisect_right(self._cdf, u - coins)
+        digits = digits << self.head.n_qubits | index
+        return self._pick(format(digits, "b").encode().translate(_DIGITS))
 
 
 def _as_population(population: Population | StateVector) -> Population:
@@ -462,6 +493,21 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
 
     Deterministic for a fixed config seed: the same instance and config
     reproduce the identical result, trace included.
+
+    While the best value holds, the move ``select_move`` picks depends only
+    on the selection it starts from and the tabu list's items in order, so
+    the run keeps a memo of its moves keyed by ``(current, *tabu_list)``.
+    An entry holds the chosen selection, the flipped item, the chosen
+    selection's neighbourhood, the three counter increments the move added
+    and the key after the move. A repeated key replays its entry, adding
+    the increments to the state, with no ``select_move`` call, cache lookup
+    or new key. The memo is cleared whenever the best improves, the only
+    time ``best_evaluation`` changes (an escape does not change it, and an
+    aspiration move always improves, so it is never replayed). It holds at
+    most ``CACHE_SCORES // n_items`` moves, the cache's bound, so a run
+    with no room in the cache picks every move with ``select_move`` and
+    gives the same bytes. ``state.current`` and ``state.iteration`` are
+    brought up to date before each ``select_move`` or ``escape`` call.
     """
     if config is None:
         config = SearchConfig()
@@ -493,24 +539,58 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         iteration=0,
         tabu_list=deque(maxlen=config.tenure(n)),
     )
-    push = state.tabu_list.append
+    tabu_list = state.tabu_list
+    push = tabu_list.append
+    # (current, *tabu_list) -> the move from there: (chosen, flipped, the
+    # chosen selection's neighbourhood, the tabu_blocked, aspiration_accepts
+    # and all_tabu_fallbacks it added, and the key after it).
+    moves: dict[tuple, tuple] = {}
+    recall = moves.get
     trace: list[tuple[int, float, float]] = []
     record = trace.append
     limit = config.stagnation_limit
     # The stagnation clock runs out after iteration clock_start + limit.
     escape_after = limit
+    key = (current, *tabu_list)
     for iteration in range(1, config.max_iterations + 1):
-        state.iteration = iteration
         if iteration > escape_after:
+            state.current, state.iteration = current, iteration
             escape(state, rng)
             escape_after = state.clock_start + limit
-            hood = lookup(state.current) or score(state.current)
-        chosen, flipped = select_move(state, hood)
-        state.current = chosen
-        push(flipped)
-        hood = lookup(chosen) or score(chosen)
+            current = state.current
+            hood = lookup(current) or score(current)
+            key = (current, *tabu_list)
+        move = recall(key)
+        if move is None:
+            state.current, state.iteration = current, iteration
+            blocked, aspired, fell_back = (
+                state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks
+            )
+            chosen, flipped = select_move(state, hood)
+            hood = lookup(chosen) or score(chosen)
+            push(flipped)
+            move = (
+                chosen,
+                flipped,
+                hood,
+                state.tabu_blocked - blocked,
+                state.aspiration_accepts - aspired,
+                state.all_tabu_fallbacks - fell_back,
+                (chosen, *tabu_list),
+            )
+            if len(moves) < room:
+                moves[key] = move
+            key = move[-1]
+        else:
+            chosen, flipped, hood, blocked, aspired, fell_back, key = move
+            push(flipped)
+            state.tabu_blocked += blocked
+            state.aspiration_accepts += aspired
+            state.all_tabu_fallbacks += fell_back
+        current = chosen
         current_eval = hood[0]
         if current_eval > best:
+            moves.clear()
             best = state.best_evaluation = current_eval
             state.best_solution = chosen
             state.best_iteration = state.clock_start = iteration

@@ -8,12 +8,22 @@ matching the package convention.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 from hypothesis import strategies as st
 
 from qtabu.qasm import Program
 from qtabu.routing import CouplingMap
-from qtabu.statevector import Gate, GateOp, MeasureOp, StateVector, cbit_key, run_program
+from qtabu.statevector import (
+    Gate,
+    GateOp,
+    MeasureOp,
+    StateVector,
+    cbit_key,
+    normalized_cdf,
+    run_program,
+)
 from qtabu.tabu import Population
 
 X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,6 +100,29 @@ def population_amplitudes(population: Population) -> np.ndarray:
     for width in population.tail:
         amplitudes = np.kron(bell if width == 2 else plus, amplitudes)
     return amplitudes
+
+
+def sample_by_doubling(population: Population, rng) -> tuple[int, ...]:
+    """One draw from ``population`` by the doubling walk ``Population.sample``
+    used before it read a draw's binary digits as one integer.
+
+    Each tail block, from the highest down, takes the coin ``u >= 0.5``
+    for all its qubits and ``u`` becomes ``u + u - coin`` (both exact in
+    [0, 1)); a fresh ``u`` is drawn each time the walk has passed 32 qubits
+    since the last draw. What is left of ``u`` picks the head's entry from
+    ``normalized_cdf`` of the head.
+    """
+    u, walked = rng.random(), 0
+    tail_bits: list[int] = []
+    for width in reversed(population.tail):
+        if walked >= 32:
+            u, walked = rng.random(), 0
+        coin = u >= 0.5
+        u = u + u - coin
+        tail_bits.extend((int(coin),) * width)
+        walked += width
+    index = bisect_right(normalized_cdf(population.head).tolist(), u)
+    return (*((index >> q) & 1 for q in range(population.head.n_qubits)), *reversed(tail_bits))
 
 
 def assert_routed_equivalent(

@@ -5,7 +5,9 @@ of a fixed set of seeded runs, rendered with ``repr``, so every digit of
 every float and the type of every bit is part of the digest. Any change
 in sampling order, move selection or fitness arithmetic changes them.
 ``TRACES_DIGEST`` hashes every one of those runs without
-``best_iteration``.
+``best_iteration``, and ``COUNTERS_DIGEST`` hashes their five
+``EngineCounters``, which no trace shows: a move replayed from the run's
+memo with the wrong increments would change only them.
 
 ``MAP_SEARCH_DIGEST`` and ``KNAPSACK_DIGEST`` were last re-recorded when
 ``best_iteration`` became the iteration at which the best was first
@@ -35,13 +37,15 @@ import pytest
 
 import qtabu
 from qtabu.mapsearch import MapSearchProblem, all_directed_pairs, load_teleport, search_best_map
-from qtabu.tabu import KnapsackInstance, SearchConfig, qts_run
+from qtabu.tabu import _COUNTERS, KnapsackInstance, SearchConfig, qts_run
 
 MAP_SEARCH_DIGEST = "b26f1327d302ff43cbcd05cbb062a0525012b9d8056543ea7e66886d0b1b7b6f"
 KNAPSACK_DIGEST = "fd0788c4b0e5445ff3685b09faa9b652a029a810ec7efb9bdcbe64eca6bb7616"
 WIDE_KNAPSACK_DIGEST = "3a2c38176520f7f4165c57199c871f71af1ababa23a76f78873fc029e40a99e8"
 # All three sets of runs without ``best_iteration``.
 TRACES_DIGEST = "f474a0ee61a4688b48ffdd4e0cdee08f0d551ef3d9a5848d93ecc253b220c613"
+# The same runs' counters, in ``EngineCounters`` field order.
+COUNTERS_DIGEST = "e9ddfd71ffb0d894ce72560fc3cf5b6fdafa2022fe08464b0c23192c47654359"
 
 
 def _digest(results, with_iteration: bool = True) -> str:
@@ -118,6 +122,15 @@ def test_best_selections_and_traces_match_golden():
     runs = _map_search_runs()
     runs += _knapsack_runs(_knapsack_instances()) + _knapsack_runs(_wide_knapsack_instances())
     assert _digest(runs, with_iteration=False) == TRACES_DIGEST
+
+
+def test_engine_counters_match_golden():
+    runs = _map_search_runs()
+    runs += _knapsack_runs(_knapsack_instances()) + _knapsack_runs(_wide_knapsack_instances())
+    digest = hashlib.sha256()
+    for result in runs:
+        digest.update(repr(tuple(getattr(result, name) for name in _COUNTERS)).encode())
+    assert digest.hexdigest() == COUNTERS_DIGEST
 
 
 @pytest.mark.skipif(platform.machine() != "x86_64", reason="OpenBLAS kernel names are x86_64's")

@@ -4,9 +4,12 @@
 engine's Python-float scores must pick the same move bit for bit. Short
 seeded runs are replayed from their recorded moves to check the trace and
 the counters in ``SearchResult``. A run scores each selection once and
-reuses it from a bounded cache: whole runs are checked move by move against
-the oracle, against runs that rescore every visit, and for how often they
-score.
+reuses it from a bounded cache, and replays a repeated move from a memo
+without calling ``select_move``. Runs watched through a patched
+``select_move`` are run with no room in the cache (``CACHE_SCORES = 0``),
+so every move passes through it, and must equal the default run. Whole
+runs are checked move by move against the oracle, against runs that
+rescore every visit, and for how often they score and pick a move.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qtabu import tabu
+from qtabu import mapsearch, tabu
+from qtabu.mapsearch import MapSearchProblem, all_directed_pairs, load_teleport, search_best_map
 from qtabu.statevector import Gate
 from qtabu.tabu import KnapsackInstance, SearchConfig, SearchState, fitness, init_population
 
@@ -110,7 +114,9 @@ def test_an_item_twice_in_the_tabu_list_counts_once():
 
 def _recorded_run(instance: KnapsackInstance, config: SearchConfig):
     """``qts_run`` with each move's selection before and after, and each
-    gate applied to the population, recorded."""
+    gate applied to the population, recorded. The recorded run has no room
+    in the cache, so every move goes through ``select_move``; it must equal
+    the default run."""
     moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     gates: list[Gate] = []
     select_move = tabu.select_move
@@ -127,10 +133,12 @@ def _recorded_run(instance: KnapsackInstance, config: SearchConfig):
         apply(population, op)
 
     with (
+        mock.patch.object(tabu, "CACHE_SCORES", 0),
         mock.patch.object(tabu, "select_move", record_move),
         mock.patch.object(tabu.Population, "apply", record_gate),
     ):
         result = tabu.qts_run(instance, config)
+    assert repr(result) == repr(tabu.qts_run(instance, config))
     return result, moves, gates
 
 
@@ -238,8 +246,12 @@ def test_tenure_holds_over_whole_runs():
                     moves.append((state.iteration, move[1], score[move[1]] > best, before, after))
                     return move
 
-                with mock.patch.object(tabu, "select_move", record_move):
-                    tabu.qts_run(instance, config)
+                with (
+                    mock.patch.object(tabu, "CACHE_SCORES", 0),
+                    mock.patch.object(tabu, "select_move", record_move),
+                ):
+                    observed = tabu.qts_run(instance, config)
+                assert repr(observed) == repr(tabu.qts_run(instance, config))
                 expiry = tenure if tenure is not None else max(2, n // 4)
                 last_flip: dict[int, int] = {}
                 for iteration, item, beats_best, (aspired, fell_back), after in moves:
@@ -276,10 +288,10 @@ RUN_SETTINGS = (
 @settings(max_examples=100, deadline=None)
 @given(*RUN_SETTINGS)
 def test_every_move_of_a_run_matches_the_oracle(instance, seed, mode, stagnation, tenure):
-    """Runs stand on the same selections again and again, so most moves
-    here are picked from cached neighbourhoods; each must still be the
-    oracle's move for that iteration's tabu list and best, with the
-    counters it implies."""
+    """Every move of a run that rescores each visit must be the oracle's
+    move for that iteration's tabu list and best, with the counters it
+    implies; the default run, which picks most moves from cached
+    neighbourhoods or replays them from its memo, must equal it."""
     args = (instance.profits, instance.weights, instance.max_capacity)
     select_move = tabu.select_move
     moves = 0
@@ -303,9 +315,14 @@ def test_every_move_of_a_run_matches_the_oracle(instance, seed, mode, stagnation
         moves += 1
         return move
 
-    with mock.patch.object(tabu, "select_move", checked_move):
-        tabu.qts_run(instance, _run_config(seed, mode, stagnation, tenure))
+    config = _run_config(seed, mode, stagnation, tenure)
+    with (
+        mock.patch.object(tabu, "CACHE_SCORES", 0),
+        mock.patch.object(tabu, "select_move", checked_move),
+    ):
+        observed = tabu.qts_run(instance, config)
     assert moves == RUN_ITERATIONS
+    assert repr(observed) == repr(tabu.qts_run(instance, config))
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,7 +351,8 @@ def _check_rescored_run(instance: KnapsackInstance, config: SearchConfig) -> Non
 def _scored_run(instance: KnapsackInstance, config: SearchConfig):
     """``qts_run`` with the selections it scored and every selection it
     looked up, in order: each draw (the first and each escape's) and each
-    move's result."""
+    result of a ``select_move`` call. A move replayed from the memo looks
+    nothing up, so only a run with no room in the cache lists every move."""
     scored: list[tuple[int, ...]] = []
     looked_up: list[tuple[int, ...]] = []
     neighbourhood, select_move, sample = tabu._neighbourhood, tabu.select_move, tabu.sample_candidate
@@ -368,27 +386,39 @@ def test_each_selection_is_scored_once_per_run():
     instance = KnapsackInstance(tuple(profits), tuple(weights), float(0.4 * weights.sum()))
     config = SearchConfig(max_iterations=500, seed=4)
 
-    result, scored, looked_up = _scored_run(instance, config)
+    result, scored, _ = _scored_run(instance, config)
+    with mock.patch.object(tabu, "CACHE_SCORES", 0):
+        observed, rescored, looked_up = _scored_run(instance, config)
+    assert repr(observed) == repr(result)
     escapes = result.escapes_cx + result.escapes_h
     assert len(looked_up) == 1 + escapes + config.max_iterations
+    # The default run scores every selection the run stands on, once.
     assert sorted(scored) == sorted(set(looked_up))
     assert len(scored) < config.max_iterations // 2
-
-    with mock.patch.object(tabu, "CACHE_SCORES", 0):
-        _, rescored, _ = _scored_run(instance, config)
     assert rescored == looked_up
+
+
+def _long_run() -> tuple[KnapsackInstance, SearchConfig]:
+    """A fractional 20-item instance and a 20,000-iteration config, whose
+    run goes past the room of both the cache and the memo."""
+    rng = np.random.default_rng(9)
+    profits, weights = rng.uniform(0.5, 30.0, size=20), rng.uniform(0.1, 15.0, size=20)
+    instance = KnapsackInstance(tuple(profits), tuple(weights), float(0.4 * weights.sum()))
+    return instance, SearchConfig(max_iterations=20_000, seed=6)
 
 
 def test_a_long_run_stores_no_more_than_the_bound():
     """Past ``CACHE_SCORES // n`` distinct selections, new ones are scored
-    on every visit: the calls are exactly the misses of a cache that keeps
-    the first ones it scored and no more."""
-    rng = np.random.default_rng(9)
-    profits, weights = rng.uniform(0.5, 30.0, size=20), rng.uniform(0.1, 15.0, size=20)
-    instance = KnapsackInstance(tuple(profits), tuple(weights), float(0.4 * weights.sum()))
-    config = SearchConfig(max_iterations=20_000, seed=6)
-
-    _, scored, looked_up = _scored_run(instance, config)
+    on every lookup: the calls are exactly the misses of a cache that keeps
+    the first ones it scored and no more. A move replayed from the memo
+    brings its neighbourhood along and looks nothing up, so the default
+    run's lookups are its draws and the moves ``select_move`` picked."""
+    instance, config = _long_run()
+    result, scored, looked_up = _scored_run(instance, config)
+    with mock.patch.object(tabu, "CACHE_SCORES", 0):
+        observed, _, visited = _scored_run(instance, config)
+    assert repr(observed) == repr(result)
+    assert set(looked_up) == set(visited)
     room = tabu.CACHE_SCORES // instance.n_items
     held: set[tuple[int, ...]] = set()
     misses = []
@@ -399,3 +429,98 @@ def test_a_long_run_stores_no_more_than_the_bound():
                 held.add(bits)
     assert len(set(looked_up)) > room
     assert scored == misses
+
+
+def _counted_run(instance: KnapsackInstance, config: SearchConfig):
+    """``qts_run`` with the ``tabu_blocked`` and ``all_tabu_fallbacks``
+    increments of each ``select_move`` call, in order."""
+    calls: list[tuple[int, int]] = []
+    select_move = tabu.select_move
+
+    def counted_move(state, *rest):
+        before = (state.tabu_blocked, state.all_tabu_fallbacks)
+        move = select_move(state, *rest)
+        calls.append((state.tabu_blocked - before[0], state.all_tabu_fallbacks - before[1]))
+        return move
+
+    with mock.patch.object(tabu, "select_move", counted_move):
+        result = tabu.qts_run(instance, config)
+    return result, calls
+
+
+@settings(max_examples=50, deadline=None)
+@given(fractional_instances(8), *RUN_SETTINGS[1:4], st.integers(0, 4))
+def test_runs_with_every_item_tabu_are_identical(instance, seed, mode, stagnation, extra):
+    """A tenure of at least the item count makes moves find every item
+    tabu, so replayed moves carry blocked and fallback increments."""
+    _check_rescored_run(instance, _run_config(seed, mode, stagnation, instance.n_items + extra))
+
+
+def test_replayed_moves_add_the_counts_of_the_move_they_repeat():
+    """With every item tabu, most moves replay a fallback from the memo:
+    the run's counters exceed what its ``select_move`` calls added, and
+    equal a run's that picks every move with ``select_move``."""
+    rng = np.random.default_rng(12)
+    for tenure in (4, 6):
+        instance = KnapsackInstance(
+            tuple(rng.uniform(0.5, 30.0, size=4)), tuple(rng.uniform(0.1, 15.0, size=4)), 20.0
+        )
+        config = SearchConfig(max_iterations=100, tabu_tenure=tenure, seed=3)
+        result, calls = _counted_run(instance, config)
+        assert len(calls) < config.max_iterations
+        assert result.tabu_blocked > sum(blocked for blocked, _ in calls)
+        assert result.all_tabu_fallbacks > sum(fell_back for _, fell_back in calls) > 0
+        _check_rescored_run(instance, config)
+
+
+def test_a_run_past_the_memos_room_is_identical():
+    """One best value of the long run holds over more distinct (selection,
+    tabu list) states than the memo has room for, so the memo fills and
+    later moves go through ``select_move`` unstored."""
+    instance, config = _long_run()
+    states: dict[float, set] = {}
+    select_move = tabu.select_move
+
+    def record_state(state, *rest):
+        states.setdefault(state.best_evaluation, set()).add((state.current, *state.tabu_list))
+        return select_move(state, *rest)
+
+    with (
+        mock.patch.object(tabu, "CACHE_SCORES", 0),
+        mock.patch.object(tabu, "select_move", record_state),
+    ):
+        tabu.qts_run(instance, config)
+    assert max(map(len, states.values())) > tabu.CACHE_SCORES // instance.n_items
+    _check_rescored_run(instance, config)
+
+
+def _map_search_instance() -> KnapsackInstance:
+    """The instance ``search_best_map`` runs for the golden map-search
+    problem (teleport over every directed pair of five qubits, budget 6),
+    which is also the ``mapsearch-20edge`` benchmark's."""
+    problem = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=6)
+    instances = []
+
+    def record_instance(instance, config):
+        instances.append(instance)
+        return tabu.qts_run(instance, config)
+
+    with mock.patch.object(mapsearch, "qts_run", record_instance):
+        search_best_map(problem, SearchConfig(max_iterations=2))
+    return instances[0]
+
+
+def test_map_search_runs_that_rescore_every_visit_are_identical():
+    instance = _map_search_instance()
+    for seed in range(100):
+        _check_rescored_run(instance, SearchConfig(seed=seed))
+
+
+def test_map_search_runs_pick_few_moves_with_select_move():
+    """A map-search run keeps to a few dozen (selection, tabu list) states
+    per best value, so most of its 500 moves replay from the memo."""
+    instance = _map_search_instance()
+    for seed in range(20):
+        config = SearchConfig(seed=seed)
+        _, calls = _counted_run(instance, config)
+        assert len(calls) < config.max_iterations // 4

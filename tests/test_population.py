@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import population_amplitudes
+from oracles import population_amplitudes, sample_by_doubling
 from qtabu import tabu
 from qtabu.statevector import (
     Gate,
@@ -150,6 +150,31 @@ def test_long_tails_sample_as_dense(mode):
         assert [population.sample(draws) for _ in us] == dyadic_inverse_cdfs(
             dense_population(n, mode), us
         )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_samples_equal_the_doubling_walk(mode):
+    """``Population.sample`` reads a draw's binary digits as one integer and
+    must pick what the doubling walk it replaced picks, drawing as often.
+    Widths cross one and two redraws (32 and 64 qubits); heads are fresh,
+    stepped by escapes, and a dense three-qubit state. Every draw is
+    ``2**-k`` or the float just below it, for k up to 60 (past a draw's 53
+    digits), or random after such an edge."""
+    rng = np.random.default_rng(16)
+    edges = [2.0**-k for k in range(1, 61)]
+    edges += [math.nextafter(u, 0.0) for u in edges] + [0.0, math.nextafter(1.0, 0.0)]
+    populations = [Population(dense_population(3, mode))]
+    for n in (1, 2, 3, 10, 31, 32, 33, 34, 35, 63, 64, 65, 66, 67, 100):
+        stepped = init_population(n, mode)
+        for op in (*ESCAPE_GATES, ESCAPE_GATES[0]) if n >= 2 else (GateOp(Gate.H, 0),):
+            stepped.apply(op)
+        populations += [init_population(n, mode), stepped]
+    for population in populations:
+        for u in edges:
+            for us in ([u] * 5, [u, *rng.random(4).tolist()]):
+                draws, reference = Draws(us), Draws(us)
+                assert population.sample(draws) == sample_by_doubling(population, reference)
+                assert list(draws.us) == list(reference.us)
 
 
 def test_escape_gates_stay_in_two_qubit_blocks():
