@@ -563,9 +563,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         move = recall(key)
         if move is None:
             state.current, state.iteration = current, iteration
-            blocked, aspired, fell_back = (
-                state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks
-            )
+            before = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
             chosen, flipped = select_move(state, hood)
             hood = lookup(chosen) or score(chosen)
             push(flipped)
@@ -573,9 +571,9 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
                 chosen,
                 flipped,
                 hood,
-                state.tabu_blocked - blocked,
-                state.aspiration_accepts - aspired,
-                state.all_tabu_fallbacks - fell_back,
+                state.tabu_blocked - before[0],
+                state.aspiration_accepts - before[1],
+                state.all_tabu_fallbacks - before[2],
                 (chosen, *tabu_list),
             )
             if len(moves) < room:
