@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from typing import Sequence
 
@@ -80,7 +81,13 @@ def reference_map(name: str) -> CouplingMap:
 
 @dataclass(frozen=True)
 class MapSearchProblem:
-    """A circuit, the directed edges a device could have, and an edge budget."""
+    """A circuit, the directed edges a device could have, and an edge budget.
+
+    The engine's instance is derived from these on the problem's first
+    search and kept on the problem (``_derived``), so every search of one
+    problem runs the same instance object and reuses what ``qts_run`` keeps
+    for it.
+    """
 
     circuit: Program
     candidate_edges: tuple[tuple[int, int], ...]
@@ -98,6 +105,22 @@ class MapSearchProblem:
         CouplingMap.spanning(self.candidate_edges)
         if self.edge_budget < 0:
             raise ValueError("edge_budget must be >= 0")
+
+    @cached_property
+    def _derived(self) -> tuple[KnapsackInstance, tuple[int, ...], KnapsackInstance | None]:
+        """``derive_knapsack(self)``, the indices of its profit-bearing edges,
+        and the instance over those edges alone that the engine runs (None
+        when there is none), built on first use."""
+        instance = derive_knapsack(self)
+        kept = tuple(k for k, profit in enumerate(instance.profits) if profit > 0.0)
+        engine = None
+        if kept:
+            engine = KnapsackInstance(
+                tuple(instance.profits[k] for k in kept),
+                tuple(instance.weights[k] for k in kept),
+                instance.max_capacity,
+            )
+        return instance, kept, engine
 
 
 def all_directed_pairs(n_physical: int) -> tuple[tuple[int, int], ...]:
@@ -170,19 +193,16 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
     score is bit for bit ``fitness`` of the returned selection over
     ``derive_knapsack(problem)``. Routing the circuit on the winning map can
     fail (for example with a budget of zero); the report is then None.
+
+    Both instances are derived once per problem, on its first search, so
+    the searches of one problem (one per seed, or per ``search-map`` run)
+    give ``qts_run`` one instance object, whose neighbourhood cache and
+    stretch memo carry over from search to search.
     """
-    instance = derive_knapsack(problem)
-    kept = [k for k, profit in enumerate(instance.profits) if profit > 0.0]
+    instance, kept, engine = problem._derived
     bits = [0] * instance.n_items
-    if kept:
-        result = qts_run(
-            KnapsackInstance(
-                tuple(instance.profits[k] for k in kept),
-                tuple(instance.weights[k] for k in kept),
-                instance.max_capacity,
-            ),
-            config,
-        )
+    if engine is not None:
+        result = qts_run(engine, config)
         for k, bit in zip(kept, result.best_solution):
             bits[k] = bit
         result = replace(result, best_solution=tuple(bits))

@@ -30,10 +30,10 @@ single-bit flips in one loop, and ``fitness`` reads the selection's value.
 
 A run keeps to a few hundred distinct selections and stands on most of them
 again and again, so it scores each one once: its value, the score of every
-single-bit flip and those flips ranked best first go into a per-run cache
-keyed by the selection. The cache holds at most ``CACHE_SCORES`` flip
-scores (``CACHE_SCORES // n_items`` selections) at any ``max_iterations``;
-once it is full, new selections are scored on every visit but not stored.
+single-bit flip and those flips ranked best first go into a cache keyed by
+the selection. The cache holds at most ``CACHE_SCORES`` flip scores
+(``CACHE_SCORES // n_items`` selections) at any ``max_iterations``; once it
+is full, new selections are scored on every visit but not stored.
 
 It also makes most of its moves more than once: while the best value
 holds, a move is fixed by the selection and the tabu list's items in
@@ -41,9 +41,19 @@ order, so ``qts_run`` keeps a per-run memo keyed by
 ``(current, *tabu_list)`` and replays a repeated move (the chosen
 selection, the flipped item, its neighbourhood and the counter increments)
 without calling ``select_move``. The memo is cleared whenever the best
-improves and holds at most ``CACHE_SCORES // n_items`` moves, so with no
-room in the cache every move goes through ``select_move``, with the same
-bytes.
+improves.
+
+Most iterations fall in stagnation stretches, the moves from one escape up
+to the next, and a stretch with no improvement is fixed by the best value,
+the stagnation limit, the tenure, the escape's draw and the tabu list's
+items. ``qts_run`` keeps those stretches in a memo and replays a repeated
+one whole: its trace rows, its tabu list and its counter increments.
+Runs on one instance repeat each other's stretches, so the cache and the
+stretch memo live in one module-level slot that serves every run on the
+same instance object (``is``, not ``==``) until a run on another instance
+replaces it. Each memo holds at most ``CACHE_SCORES // n_items`` entries,
+so a run with no room in the cache neither reads nor fills the slot and
+makes every move through ``select_move``, with the same bytes.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Literal, Sequence, get_args
 
@@ -73,6 +84,10 @@ STEP_ENTRIES = 2**10
 # Widest head, in amplitudes, whose steps go through the table.
 _STEP_AMPLITUDES = 4
 _STEPS: dict[tuple[bytes, GateOp], tuple[np.ndarray, tuple[float, ...]]] = {}
+# The last instance run with room in the cache, and the neighbourhood cache
+# and stretch memo its runs share (``qts_run``). One slot, not one per
+# instance: a run on another instance frees the last one's tables.
+_TABLES: tuple[object, dict, dict] = (None, {}, {})
 # The escape gates, built once: cx(0, 1), and h on qubit 1, or on qubit 0
 # when there is only one item (indexed by ``n_items >= 2``).
 _ESCAPE_CX = GateOp(Gate.CX, 1, control=0)
@@ -502,10 +517,29 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     and the key after the move. A repeated key replays its entry, adding
     the increments to the state, with no ``select_move`` call, cache lookup
     or new key. The memo is cleared whenever the best improves, the only
-    time ``best_evaluation`` changes (an escape does not change it, and an
-    aspiration move always improves, so it is never replayed). It holds at
-    most ``CACHE_SCORES // n_items`` moves, the cache's bound, so a run
-    with no room in the cache picks every move with ``select_move`` and
+    time ``best_evaluation`` changes (an escape does not change it).
+
+    A stretch is the ``stagnation_limit + 1`` moves from an escape up to
+    the next escape. At each escape the run looks up
+    ``(best_evaluation, stagnation_limit, tenure, current, *tabu_list)``
+    (the tenure is there because a tabu list shorter than it grows). On a
+    hit whose stretch ends by ``max_iterations`` it writes the stretch in
+    one step: trace rows with its own iteration numbers, the stored values
+    and its own best; the stored tabu list; and the three stored counter
+    increments (all three: a tabu flip can aspirate on a score above the
+    best while the selection's own value, summed afresh, is not, so a
+    stretch can hold an aspiration). Then it goes on to the next escape. On a miss it walks the
+    stretch move by move, and stores it at the next escape if no move in
+    it improved the best, a flag of its own, because a first move that
+    improves leaves ``clock_start`` where the escape put it.
+
+    The neighbourhood cache and the stretch memo depend only on the
+    instance, so they are kept in the module's one slot for the next run
+    on the same instance object; a run on another instance replaces the
+    slot, freeing the last instance and its tables. The move memo, the
+    cache and the stretch memo each hold at most ``CACHE_SCORES // n_items``
+    entries, so a run with no room in the cache uses fresh empty tables,
+    leaves the slot as it is, picks every move with ``select_move`` and
     gives the same bytes. ``state.current`` and ``state.iteration`` are
     brought up to date before each ``select_move`` or ``escape`` call.
     """
@@ -516,9 +550,17 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     population = init_population(n, config.population_mode)
     current = sample_candidate(population, rng)
     # Each selection's neighbourhood gives its trace value and scores the
-    # next iteration's moves; the first CACHE_SCORES // n scored are kept.
-    cache: dict[CandidateSolution, Neighbourhood] = {}
+    # next iteration's moves; the first CACHE_SCORES // n scored are kept,
+    # and so are the first CACHE_SCORES // n stretches. Both tables serve
+    # every run on this instance object until a run on another one.
     room = CACHE_SCORES // n
+    global _TABLES
+    if not room:
+        cache, stretches = {}, {}
+    else:
+        if _TABLES[0] is not instance:
+            _TABLES = (instance, {}, {})
+        _, cache, stretches = _TABLES
     lookup = cache.get
 
     def score(bits: CandidateSolution) -> Neighbourhood:
@@ -528,8 +570,9 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             cache[bits] = hood
         return hood
 
-    hood = score(current)
+    hood = lookup(current) or score(current)
     best = hood[0]
+    tenure = config.tenure(n)
     state = SearchState(
         population=population,
         current=current,
@@ -537,7 +580,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         best_evaluation=best,
         best_iteration=0,
         iteration=0,
-        tabu_list=deque(maxlen=config.tenure(n)),
+        tabu_list=deque(maxlen=tenure),
     )
     tabu_list = state.tabu_list
     push = tabu_list.append
@@ -549,15 +592,43 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     trace: list[tuple[int, float, float]] = []
     record = trace.append
     limit = config.stagnation_limit
+    last = config.max_iterations
     # The stagnation clock runs out after iteration clock_start + limit.
     escape_after = limit
     key = (current, *tabu_list)
-    for iteration in range(1, config.max_iterations + 1):
+    # The key of the stretch being walked, from the last escape, while no
+    # move since has improved the best; and the counters at that escape.
+    stretch = None
+    steps = iter(range(1, last + 1))
+    for iteration in steps:
         if iteration > escape_after:
+            if stretch is not None and len(stretches) < room:
+                stretches[stretch] = (
+                    tuple([value for _, value, _ in trace[-limit - 1 :]]),
+                    tuple(tabu_list),
+                    state.tabu_blocked - counts[0],
+                    state.aspiration_accepts - counts[1],
+                    state.all_tabu_fallbacks - counts[2],
+                )
             state.current, state.iteration = current, iteration
             escape(state, rng)
             escape_after = state.clock_start + limit
             current = state.current
+            stretch = (best, limit, tenure, current, *tabu_list)
+            walked = stretches.get(stretch)
+            if walked is not None and escape_after <= last:
+                values, items, blocked, aspired, fell_back = walked
+                trace.extend(zip(range(iteration, escape_after + 1), values, repeat(best)))
+                tabu_list.clear()
+                tabu_list.extend(items)
+                state.tabu_blocked += blocked
+                state.aspiration_accepts += aspired
+                state.all_tabu_fallbacks += fell_back
+                stretch = None
+                # Skip the stretch's other iterations; the next one escapes.
+                next(islice(steps, limit, limit), None)
+                continue
+            counts = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
             hood = lookup(current) or score(current)
             key = (current, *tabu_list)
         move = recall(key)
@@ -589,6 +660,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         current_eval = hood[0]
         if current_eval > best:
             moves.clear()
+            stretch = None
             best = state.best_evaluation = current_eval
             state.best_solution = chosen
             state.best_iteration = state.clock_start = iteration

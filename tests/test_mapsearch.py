@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_knapsack_max, edge_profits, programs, top_budget_max
+from qtabu import mapsearch
 from qtabu.mapsearch import (
     DEFAULT_EDGE_BUDGET,
     DIRECT_EDGE_PROFIT,
@@ -26,7 +28,7 @@ from qtabu.mapsearch import (
 from qtabu.qasm import Program, parse, serialize
 from qtabu.routing import CouplingMap
 from qtabu.statevector import Gate, GateOp
-from qtabu.tabu import SearchConfig, fitness
+from qtabu.tabu import SearchConfig, fitness, qts_run
 
 # cx on 11 distinct pairs: 22 directed edges carry profit.
 ELEVEN_CX = "qreg q[12];\ncreg c[0];\n" + "".join(
@@ -303,6 +305,33 @@ def test_search_best_map_is_deterministic():
     assert first.score == second.score
     assert first.search == second.search
 
+
+
+def test_searches_of_one_problem_derive_its_instance_once():
+    """Every search of one problem hands ``qts_run`` the same instance
+    object, derived once, so the engine's tables serve them all; each run
+    equals a search of a new equal problem."""
+    problem = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=6)
+    derived, engines = [], []
+
+    def counted_derive(problem):
+        derived.append(problem)
+        return derive_knapsack(problem)
+
+    def recorded_run(instance, config):
+        engines.append(instance)
+        return qts_run(instance, config)
+
+    with (
+        mock.patch.object(mapsearch, "derive_knapsack", counted_derive),
+        mock.patch.object(mapsearch, "qts_run", recorded_run),
+    ):
+        shared = [search_best_map(problem, SearchConfig(seed=seed)) for seed in range(5)]
+    assert derived == [problem]
+    assert all(engine is engines[0] for engine in engines) and len(engines) == 5
+    for seed, scored in enumerate(shared):
+        again = MapSearchProblem(problem.circuit, problem.candidate_edges, problem.edge_budget)
+        assert repr(scored) == repr(search_best_map(again, SearchConfig(seed=seed)))
 
 def test_search_best_map_repeated_seeds_hit_optimum():
     circuit = load_teleport()

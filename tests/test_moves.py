@@ -14,6 +14,8 @@ rescore every visit, and for how often they score and pick a move.
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import deque
 from unittest import mock
 
@@ -524,3 +526,117 @@ def test_map_search_runs_pick_few_moves_with_select_move():
         config = SearchConfig(seed=seed)
         _, calls = _counted_run(instance, config)
         assert len(calls) < config.max_iterations // 4
+
+
+def _fresh_run(instance: KnapsackInstance, config: SearchConfig) -> str:
+    """The repr of a run with no room in the cache on a new equal instance,
+    which shares no table with any earlier run."""
+    copy = KnapsackInstance(instance.profits, instance.weights, instance.max_capacity)
+    with mock.patch.object(tabu, "CACHE_SCORES", 0):
+        return repr(tabu.qts_run(copy, config))
+
+
+def test_runs_sharing_an_instance_match_fresh_runs():
+    """One instance object serves a sequence of runs, whose cache and
+    stretch memo carry over from run to run; each run must equal a fresh
+    one, and the sequence must pick fewer moves with ``select_move`` than
+    runs on new copies of the instance do. The settings interleave, with
+    one tenure below and two above ``stagnation_limit + 1`` for each limit
+    (two such tenures grow equal tabu lists until the shorter one fills)
+    and ``max_iterations`` that cut the last stretch."""
+    rng = np.random.default_rng(25)
+    integral = KnapsackInstance(
+        tuple(map(float, rng.integers(1, 30, size=6))),
+        tuple(map(float, rng.integers(1, 15, size=6))),
+        20.0,
+    )
+    fractional = KnapsackInstance(
+        tuple(rng.uniform(0.5, 30.0, size=5)), tuple(rng.uniform(0.1, 15.0, size=5)), 14.0
+    )
+    settings_ = [
+        (seed, mode, limit, tenure, iterations)
+        for limit, tenure, iterations in (
+            (3, 2, 203),
+            (3, 6, 150),
+            (3, 9, 301),
+            (5, 3, 250),
+            (5, 8, 97),
+            (5, 11, 180),
+            (20, 7, 500),
+            (20, 25, 260),
+            (20, 30, 330),
+        )
+        for seed in range(3)
+        for mode in MODES
+    ]
+    configs = [
+        SearchConfig(
+            max_iterations=iterations,
+            stagnation_limit=limit,
+            tabu_tenure=tenure,
+            population_mode=mode,
+            seed=seed,
+        )
+        for seed, mode, limit, tenure, iterations in settings_
+    ]
+    for instance in (integral, fractional):
+        alone = 0
+        for config in configs:
+            copy = KnapsackInstance(instance.profits, instance.weights, instance.max_capacity)
+            alone += len(_counted_run(copy, config)[1])
+        shared = 0
+        for config in configs:
+            result, calls = _counted_run(instance, config)
+            assert repr(result) == _fresh_run(instance, config), config
+            shared += len(calls)
+        assert tabu._TABLES[0] is instance
+        assert shared < alone
+
+
+def test_instances_equal_but_for_a_signed_zero_share_no_tables():
+    """Equal instances are still two instances: each run uses the tables of
+    its own instance object and matches a fresh run."""
+    plus = KnapsackInstance((0.0, 1.0, 2.0), (1.0, 1.0, 1.0), 2.0)
+    minus = KnapsackInstance((-0.0, 1.0, 2.0), (1.0, 1.0, 1.0), 2.0)
+    assert plus == minus
+    for seed in range(4):
+        for instance in (plus, minus):
+            config = SearchConfig(max_iterations=80, stagnation_limit=3, seed=seed)
+            assert repr(tabu.qts_run(instance, config)) == _fresh_run(instance, config)
+            assert tabu._TABLES[0] is instance
+
+
+def test_a_run_on_another_instance_frees_the_last_ones_tables():
+    first = KnapsackInstance((3.0, 4.0, 2.5), (2.0, 3.0, 1.5), 4.0)
+    tabu.qts_run(first, SearchConfig(seed=1))
+    assert tabu._TABLES[0] is first
+    ref = weakref.ref(first)
+    tabu.qts_run(KnapsackInstance((1.0, 2.0), (1.0, 1.0), 1.0), SearchConfig(seed=1))
+    del first
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_run_with_no_room_neither_reads_nor_fills_the_tables():
+    """With ``CACHE_SCORES // n == 0`` a run scores every lookup afresh and
+    picks every move with ``select_move``, even on the instance whose tables
+    the last run left, and leaves those tables as they were."""
+    rng = np.random.default_rng(3)
+    instance = KnapsackInstance(
+        tuple(rng.uniform(0.5, 30.0, size=4)), tuple(rng.uniform(0.1, 15.0, size=4)), 20.0
+    )
+    config = SearchConfig(stagnation_limit=5, seed=2)
+    for seed in range(3):
+        tabu.qts_run(instance, SearchConfig(stagnation_limit=5, seed=seed))
+    tables = tabu._TABLES
+    sizes = len(tables[1]), len(tables[2])
+    assert tables[0] is instance and all(sizes)
+    with mock.patch.object(tabu, "CACHE_SCORES", 0):
+        result, scored, looked_up = _scored_run(instance, config)
+        _, calls = _counted_run(instance, config)
+        tabu.qts_run(KnapsackInstance((1.0,), (1.0,), 1.0), config)
+    assert len(calls) == config.max_iterations
+    assert scored == looked_up
+    assert len(scored) == 1 + result.escapes_cx + result.escapes_h + config.max_iterations
+    assert tabu._TABLES is tables and (len(tables[1]), len(tables[2])) == sizes
+    assert repr(result) == repr(tabu.qts_run(instance, config))
