@@ -51,9 +51,10 @@ one whole: its trace rows, its tabu list and its counter increments.
 Runs on one instance repeat each other's stretches, so the cache and the
 stretch memo live in one module-level slot that serves every run on the
 same instance object (``is``, not ``==``) until a run on another instance
-replaces it. Each memo holds at most ``CACHE_SCORES // n_items`` entries,
-so a run with no room in the cache neither reads nor fills the slot and
-makes every move through ``select_move``, with the same bytes.
+replaces it. The move memo holds at most ``CACHE_SCORES // n_items``
+moves and the stretch memo at most that many trace rows, so a run with no
+room in the cache neither reads nor fills the slot and makes every move
+through ``select_move``, with the same bytes.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ _TABLES: tuple[object, dict, dict] = (None, {}, {})
 # when there is only one item (indexed by ``n_items >= 2``).
 _ESCAPE_CX = GateOp(Gate.CX, 1, control=0)
 _ESCAPE_H = (GateOp(Gate.H, 0), GateOp(Gate.H, 1))
+# A trace row's value: (iteration, value, best) -> value.
+_TRACE_VALUE = itemgetter(1)
 # Binary digits as text to their values: b"0" -> 0 and b"1" -> 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -524,24 +527,28 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     ``(best_evaluation, stagnation_limit, tenure, current, *tabu_list)``
     (the tenure is there because a tabu list shorter than it grows). On a
     hit whose stretch ends by ``max_iterations`` it writes the stretch in
-    one step: trace rows with its own iteration numbers, the stored values
-    and its own best; the stored tabu list; and the three stored counter
-    increments (all three: a tabu flip can aspirate on a score above the
-    best while the selection's own value, summed afresh, is not, so a
-    stretch can hold an aspiration). Then it goes on to the next escape. On a miss it walks the
-    stretch move by move, and stores it at the next escape if no move in
-    it improved the best, a flag of its own, because a first move that
+    one step: trace rows with its own iteration numbers, the stored rows'
+    values and its own best; the stored tabu list; and the three stored
+    counter increments (all three: a tabu flip can aspirate on a score
+    above the best while the selection's own value, summed afresh, is not,
+    so a stretch can hold an aspiration). Then it goes on to the next
+    escape. On a miss it walks the stretch move by move, and stores it (its
+    trace rows as a slice of the trace) at the next escape if no move in it
+    improved the best: a flag of its own, because a first move that
     improves leaves ``clock_start`` where the escape put it.
 
     The neighbourhood cache and the stretch memo depend only on the
     instance, so they are kept in the module's one slot for the next run
     on the same instance object; a run on another instance replaces the
-    slot, freeing the last instance and its tables. The move memo, the
-    cache and the stretch memo each hold at most ``CACHE_SCORES // n_items``
-    entries, so a run with no room in the cache uses fresh empty tables,
-    leaves the slot as it is, picks every move with ``select_move`` and
-    gives the same bytes. ``state.current`` and ``state.iteration`` are
-    brought up to date before each ``select_move`` or ``escape`` call.
+    slot, freeing the last instance and its tables. The move memo and the
+    cache each hold at most ``CACHE_SCORES // n_items`` entries, and a run
+    stores no stretch once the memo holds ``CACHE_SCORES // n_items //
+    (stagnation_limit + 1)``, so it holds that bound in trace rows
+    whatever the stagnation limit. A run with no room in the cache uses
+    fresh empty tables, leaves the slot as it is, picks every move with
+    ``select_move`` and gives the same bytes. ``state.current`` and
+    ``state.iteration`` are brought up to date before each ``select_move``
+    or ``escape`` call.
     """
     if config is None:
         config = SearchConfig()
@@ -551,16 +558,13 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     current = sample_candidate(population, rng)
     # Each selection's neighbourhood gives its trace value and scores the
     # next iteration's moves; the first CACHE_SCORES // n scored are kept,
-    # and so are the first CACHE_SCORES // n stretches. Both tables serve
+    # and stretches up to CACHE_SCORES // n trace rows. Both tables serve
     # every run on this instance object until a run on another one.
-    room = CACHE_SCORES // n
     global _TABLES
-    if not room:
-        cache, stretches = {}, {}
-    else:
-        if _TABLES[0] is not instance:
-            _TABLES = (instance, {}, {})
-        _, cache, stretches = _TABLES
+    room = CACHE_SCORES // n
+    if room and _TABLES[0] is not instance:
+        _TABLES = (instance, {}, {})
+    _, cache, stretches = _TABLES if room else (None, {}, {})
     lookup = cache.get
 
     def score(bits: CandidateSolution) -> Neighbourhood:
@@ -602,9 +606,9 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     steps = iter(range(1, last + 1))
     for iteration in steps:
         if iteration > escape_after:
-            if stretch is not None and len(stretches) < room:
+            if stretch is not None and len(stretches) < room // (limit + 1):
                 stretches[stretch] = (
-                    tuple([value for _, value, _ in trace[-limit - 1 :]]),
+                    trace[-limit - 1 :],
                     tuple(tabu_list),
                     state.tabu_blocked - counts[0],
                     state.aspiration_accepts - counts[1],
@@ -617,7 +621,8 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             stretch = (best, limit, tenure, current, *tabu_list)
             walked = stretches.get(stretch)
             if walked is not None and escape_after <= last:
-                values, items, blocked, aspired, fell_back = walked
+                rows, items, blocked, aspired, fell_back = walked
+                values = map(_TRACE_VALUE, rows)
                 trace.extend(zip(range(iteration, escape_after + 1), values, repeat(best)))
                 tabu_list.clear()
                 tabu_list.extend(items)

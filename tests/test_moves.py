@@ -640,3 +640,18 @@ def test_a_run_with_no_room_neither_reads_nor_fills_the_tables():
     assert len(scored) == 1 + result.escapes_cx + result.escapes_h + config.max_iterations
     assert tabu._TABLES is tables and (len(tables[1]), len(tables[2])) == sizes
     assert repr(result) == repr(tabu.qts_run(instance, config))
+
+
+def test_the_stretch_memo_holds_no_more_than_its_bound():
+    """A run stores no stretch once the memo holds ``CACHE_SCORES // n //
+    (stagnation_limit + 1)`` of them, so it holds that bound in trace
+    values; runs with a full memo equal fresh runs."""
+    instance = _map_search_instance()
+    limit = 5
+    with mock.patch.object(tabu, "CACHE_SCORES", instance.n_items * (limit + 1) * 3):
+        for seed in range(20):
+            config = SearchConfig(stagnation_limit=limit, seed=seed)
+            result = tabu.qts_run(instance, config)
+            assert len(tabu._TABLES[2]) <= 3
+            assert repr(result) == _fresh_run(instance, config)
+    assert tabu._TABLES[0] is instance and len(tabu._TABLES[2]) == 3
