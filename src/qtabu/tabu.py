@@ -47,7 +47,9 @@ Most iterations fall in stagnation stretches, the moves from one escape up
 to the next, and a stretch with no improvement is fixed by the best value,
 the stagnation limit, the tenure, the escape's draw and the tabu list's
 items. ``qts_run`` keeps those stretches in a memo and replays a repeated
-one whole: its trace rows, its tabu list and its counter increments.
+one whole: its trace rows, its tabu list and its counter increments. A
+stretch repeats only from a draw seen before, so only an escape whose draw
+the cache already holds looks one up or stores one.
 Runs on one instance repeat each other's stretches, so the cache and the
 stretch memo live in one module-level slot that serves every run on the
 same instance object (``is``, not ``==``) until a run on another instance
@@ -523,7 +525,8 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     time ``best_evaluation`` changes (an escape does not change it).
 
     A stretch is the ``stagnation_limit + 1`` moves from an escape up to
-    the next escape. At each escape the run looks up
+    the next escape. At each escape whose draw the cache already holds,
+    the run looks up
     ``(best_evaluation, stagnation_limit, tenure, current, *tabu_list)``
     (the tenure is there because a tabu list shorter than it grows). On a
     hit whose stretch ends by ``max_iterations`` it writes the stretch in
@@ -536,6 +539,11 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     trace rows as a slice of the trace) at the next escape if no move in it
     improved the best: a flag of its own, because a first move that
     improves leaves ``clock_start`` where the escape put it.
+
+    An escape whose draw the cache does not hold neither looks up nor
+    stores a stretch. No stretch was stored from that draw, since the
+    cache drops no entry while the memo lives; and from 10 items up a
+    draw rarely comes again, so the key and the entry would be pure cost.
 
     The neighbourhood cache and the stretch memo depend only on the
     instance, so they are kept in the module's one slot for the next run
@@ -618,23 +626,29 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             escape(state, rng)
             escape_after = state.clock_start + limit
             current = state.current
-            stretch = (best, limit, tenure, current, *tabu_list)
-            walked = stretches.get(stretch)
-            if walked is not None and escape_after <= last:
-                rows, items, blocked, aspired, fell_back = walked
-                values = map(_TRACE_VALUE, rows)
-                trace.extend(zip(range(iteration, escape_after + 1), values, repeat(best)))
-                tabu_list.clear()
-                tabu_list.extend(items)
-                state.tabu_blocked += blocked
-                state.aspiration_accepts += aspired
-                state.all_tabu_fallbacks += fell_back
+            hood = lookup(current)
+            if hood is None:
+                # A stretch is stored only from a draw the cache held, so a
+                # draw it did not hold starts none, now or later.
+                hood = score(current)
                 stretch = None
-                # Skip the stretch's other iterations; the next one escapes.
-                next(islice(steps, limit, limit), None)
-                continue
+            else:
+                stretch = (best, limit, tenure, current, *tabu_list)
+                walked = stretches.get(stretch)
+                if walked is not None and escape_after <= last:
+                    rows, items, blocked, aspired, fell_back = walked
+                    values = map(_TRACE_VALUE, rows)
+                    trace.extend(zip(range(iteration, escape_after + 1), values, repeat(best)))
+                    tabu_list.clear()
+                    tabu_list.extend(items)
+                    state.tabu_blocked += blocked
+                    state.aspiration_accepts += aspired
+                    state.all_tabu_fallbacks += fell_back
+                    stretch = None
+                    # Skip the stretch's other iterations; the next one escapes.
+                    next(islice(steps, limit, limit), None)
+                    continue
             counts = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
-            hood = lookup(current) or score(current)
             key = (current, *tabu_list)
         move = recall(key)
         if move is None:
