@@ -197,7 +197,7 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
     Both instances are derived once per problem, on its first search, so
     the searches of one problem (one per seed, or per ``search-map`` run)
     give ``qts_run`` one instance object, whose neighbourhood cache and
-    stretch memo carry over from search to search.
+    move memo carry over from search to search.
     """
     instance, kept, engine = problem._derived
     bits = [0] * instance.n_items

@@ -35,28 +35,20 @@ the selection. The cache holds at most ``CACHE_SCORES`` flip scores
 (``CACHE_SCORES // n_items`` selections) at any ``max_iterations``; once it
 is full, new selections are scored on every visit but not stored.
 
-It also makes most of its moves more than once: while the best value
-holds, a move is fixed by the selection and the tabu list's items in
-order, so ``qts_run`` keeps a per-run memo keyed by
-``(current, *tabu_list)`` and replays a repeated move (the chosen
-selection, the flipped item, its neighbourhood and the counter increments)
-without calling ``select_move``. The memo is cleared whenever the best
-improves.
-
-Most iterations fall in stagnation stretches, the moves from one escape up
-to the next, and a stretch with no improvement is fixed by the best value,
-the stagnation limit, the tenure, the escape's draw and the tabu list's
-items. ``qts_run`` keeps those stretches in a memo and replays a repeated
-one whole: its trace rows, its tabu list and its counter increments. A
-stretch repeats only from a draw seen before, so only an escape whose draw
-the cache already holds looks one up or stores one.
-Runs on one instance repeat each other's stretches, so the cache and the
-stretch memo live in one module-level slot that serves every run on the
-same instance object (``is``, not ``==``) until a run on another instance
-replaces it. The move memo holds at most ``CACHE_SCORES // n_items``
-moves and the stretch memo at most that many trace rows, so a run with no
-room in the cache neither reads nor fills the slot and makes every move
-through ``select_move``, with the same bytes.
+It also makes most of its moves more than once. A move is fixed by the
+best value, the selection and the tabu list's items in order, and the
+tenure fixes the tabu list after it, so ``qts_run`` keeps a memo keyed by
+``(best_evaluation, tenure, current, *tabu_list)`` and replays a repeated
+move (the chosen selection, the flipped item, its neighbourhood and the
+counter increments) without calling ``select_move``. The seed, the
+stagnation limit and the population mode never enter a move, so an entry
+holds in every later run on the instance and the memo is never cleared.
+Runs on one instance repeat each other's moves, so the cache and the move
+memo live in one module-level slot that serves every run on the same
+instance object (``is``, not ``==``) until a run on another instance
+replaces it. The memo holds at most ``CACHE_SCORES // n_items`` moves, so
+a run with no room in the cache neither reads nor fills the slot and
+makes every move through ``select_move``, with the same bytes.
 """
 
 from __future__ import annotations
@@ -65,7 +57,6 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
 from operator import itemgetter
 from typing import Iterable, Literal, Sequence, get_args
 
@@ -88,15 +79,13 @@ STEP_ENTRIES = 2**10
 _STEP_AMPLITUDES = 4
 _STEPS: dict[tuple[bytes, GateOp], tuple[np.ndarray, tuple[float, ...]]] = {}
 # The last instance run with room in the cache, and the neighbourhood cache
-# and stretch memo its runs share (``qts_run``). One slot, not one per
+# and move memo its runs share (``qts_run``). One slot, not one per
 # instance: a run on another instance frees the last one's tables.
 _TABLES: tuple[object, dict, dict] = (None, {}, {})
 # The escape gates, built once: cx(0, 1), and h on qubit 1, or on qubit 0
 # when there is only one item (indexed by ``n_items >= 2``).
 _ESCAPE_CX = GateOp(Gate.CX, 1, control=0)
 _ESCAPE_H = (GateOp(Gate.H, 0), GateOp(Gate.H, 1))
-# A trace row's value: (iteration, value, best) -> value.
-_TRACE_VALUE = itemgetter(1)
 # Binary digits as text to their values: b"0" -> 0 and b"1" -> 1.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -514,46 +503,32 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     Deterministic for a fixed config seed: the same instance and config
     reproduce the identical result, trace included.
 
-    While the best value holds, the move ``select_move`` picks depends only
-    on the selection it starts from and the tabu list's items in order, so
-    the run keeps a memo of its moves keyed by ``(current, *tabu_list)``.
-    An entry holds the chosen selection, the flipped item, the chosen
-    selection's neighbourhood, the three counter increments the move added
-    and the key after the move. A repeated key replays its entry, adding
-    the increments to the state, with no ``select_move`` call, cache lookup
-    or new key. The memo is cleared whenever the best improves, the only
-    time ``best_evaluation`` changes (an escape does not change it).
+    The move ``select_move`` picks depends only on the best value, the
+    selection it starts from and the tabu list's items in order, and the
+    tenure fixes the tabu list after it. So the run keeps a memo of moves
+    keyed by ``(best_evaluation, tenure, current, *tabu_list)``. An entry
+    holds the chosen selection, the flipped item, the chosen selection's
+    neighbourhood, the three counter increments the move added and the key
+    after the move. A repeated key replays its entry, adding the increments
+    to the state, with no ``select_move`` call, cache lookup or new key.
+    The key is built afresh after an escape, which changes the selection,
+    and after an improvement, which changes the best value. Neither the
+    seed, the stagnation limit nor the population mode enters a move, so an
+    entry holds in every later run on the instance and is never cleared.
 
-    A stretch is the ``stagnation_limit + 1`` moves from an escape up to
-    the next escape. At each escape whose draw the cache already holds,
-    the run looks up
-    ``(best_evaluation, stagnation_limit, tenure, current, *tabu_list)``
-    (the tenure is there because a tabu list shorter than it grows). On a
-    hit whose stretch ends by ``max_iterations`` it writes the stretch in
-    one step: trace rows with its own iteration numbers, the stored rows'
-    values and its own best; the stored tabu list; and the three stored
-    counter increments (all three: a tabu flip can aspirate on a score
-    above the best while the selection's own value, summed afresh, is not,
-    so a stretch can hold an aspiration). Then it goes on to the next
-    escape. On a miss it walks the stretch move by move, and stores it (its
-    trace rows as a slice of the trace) at the next escape if no move in it
-    improved the best: a flag of its own, because a first move that
-    improves leaves ``clock_start`` where the escape put it.
+    A float best is a safe key. ``0.0`` and ``-0.0`` are one key, and that
+    is harmless: the best is only compared (``<=`` in ``select_move``,
+    ``>`` in the improvement test), and there the two zeros agree; the
+    trace records the run's own best, not the key's. A NaN best, which
+    would never match its own key, cannot occur, as ``KnapsackInstance``
+    bounds every value and flip score to a finite float.
 
-    An escape whose draw the cache does not hold neither looks up nor
-    stores a stretch. No stretch was stored from that draw, since the
-    cache drops no entry while the memo lives; and from 10 items up a
-    draw rarely comes again, so the key and the entry would be pure cost.
-
-    The neighbourhood cache and the stretch memo depend only on the
-    instance, so they are kept in the module's one slot for the next run
-    on the same instance object; a run on another instance replaces the
-    slot, freeing the last instance and its tables. The move memo and the
-    cache each hold at most ``CACHE_SCORES // n_items`` entries, and a run
-    stores no stretch once the memo holds ``CACHE_SCORES // n_items //
-    (stagnation_limit + 1)``, so it holds that bound in trace rows
-    whatever the stagnation limit. A run with no room in the cache uses
-    fresh empty tables, leaves the slot as it is, picks every move with
+    The neighbourhood cache and the move memo depend only on the instance,
+    so they are kept in the module's one slot for the next run on the same
+    instance object; a run on another instance replaces the slot, freeing
+    the last instance and its tables. Each holds at most
+    ``CACHE_SCORES // n_items`` entries. A run with no room in the cache
+    uses fresh empty tables, leaves the slot as it is, picks every move with
     ``select_move`` and gives the same bytes. ``state.current`` and
     ``state.iteration`` are brought up to date before each ``select_move``
     or ``escape`` call.
@@ -566,14 +541,15 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     current = sample_candidate(population, rng)
     # Each selection's neighbourhood gives its trace value and scores the
     # next iteration's moves; the first CACHE_SCORES // n scored are kept,
-    # and stretches up to CACHE_SCORES // n trace rows. Both tables serve
-    # every run on this instance object until a run on another one.
+    # and as many moves. Both tables serve every run on this instance
+    # object until a run on another one.
     global _TABLES
     room = CACHE_SCORES // n
     if room and _TABLES[0] is not instance:
         _TABLES = (instance, {}, {})
-    _, cache, stretches = _TABLES if room else (None, {}, {})
+    _, cache, moves = _TABLES if room else (None, {}, {})
     lookup = cache.get
+    recall = moves.get
 
     def score(bits: CandidateSolution) -> Neighbourhood:
         """Score a selection the cache missed, keeping it while there is room."""
@@ -596,60 +572,23 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     )
     tabu_list = state.tabu_list
     push = tabu_list.append
-    # (current, *tabu_list) -> the move from there: (chosen, flipped, the
-    # chosen selection's neighbourhood, the tabu_blocked, aspiration_accepts
-    # and all_tabu_fallbacks it added, and the key after it).
-    moves: dict[tuple, tuple] = {}
-    recall = moves.get
     trace: list[tuple[int, float, float]] = []
     record = trace.append
     limit = config.stagnation_limit
-    last = config.max_iterations
     # The stagnation clock runs out after iteration clock_start + limit.
     escape_after = limit
-    key = (current, *tabu_list)
-    # The key of the stretch being walked, from the last escape, while no
-    # move since has improved the best; and the counters at that escape.
-    stretch = None
-    steps = iter(range(1, last + 1))
-    for iteration in steps:
+    # (best, tenure, current, *tabu_list) -> the move from there: (chosen,
+    # flipped, the chosen selection's neighbourhood, the tabu_blocked,
+    # aspiration_accepts and all_tabu_fallbacks it added, and the key after it).
+    key = (best, tenure, current, *tabu_list)
+    for iteration in range(1, config.max_iterations + 1):
         if iteration > escape_after:
-            if stretch is not None and len(stretches) < room // (limit + 1):
-                stretches[stretch] = (
-                    trace[-limit - 1 :],
-                    tuple(tabu_list),
-                    state.tabu_blocked - counts[0],
-                    state.aspiration_accepts - counts[1],
-                    state.all_tabu_fallbacks - counts[2],
-                )
             state.current, state.iteration = current, iteration
             escape(state, rng)
             escape_after = state.clock_start + limit
             current = state.current
-            hood = lookup(current)
-            if hood is None:
-                # A stretch is stored only from a draw the cache held, so a
-                # draw it did not hold starts none, now or later.
-                hood = score(current)
-                stretch = None
-            else:
-                stretch = (best, limit, tenure, current, *tabu_list)
-                walked = stretches.get(stretch)
-                if walked is not None and escape_after <= last:
-                    rows, items, blocked, aspired, fell_back = walked
-                    values = map(_TRACE_VALUE, rows)
-                    trace.extend(zip(range(iteration, escape_after + 1), values, repeat(best)))
-                    tabu_list.clear()
-                    tabu_list.extend(items)
-                    state.tabu_blocked += blocked
-                    state.aspiration_accepts += aspired
-                    state.all_tabu_fallbacks += fell_back
-                    stretch = None
-                    # Skip the stretch's other iterations; the next one escapes.
-                    next(islice(steps, limit, limit), None)
-                    continue
-            counts = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
-            key = (current, *tabu_list)
+            hood = lookup(current) or score(current)
+            key = (best, tenure, current, *tabu_list)
         move = recall(key)
         if move is None:
             state.current, state.iteration = current, iteration
@@ -664,7 +603,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
                 state.tabu_blocked - before[0],
                 state.aspiration_accepts - before[1],
                 state.all_tabu_fallbacks - before[2],
-                (chosen, *tabu_list),
+                (best, tenure, chosen, *tabu_list),
             )
             if len(moves) < room:
                 moves[key] = move
@@ -678,12 +617,11 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         current = chosen
         current_eval = hood[0]
         if current_eval > best:
-            moves.clear()
-            stretch = None
             best = state.best_evaluation = current_eval
             state.best_solution = chosen
             state.best_iteration = state.clock_start = iteration
             escape_after = iteration + limit
+            key = (best, tenure, chosen, *tabu_list)
         record((iteration, current_eval, best))
     return SearchResult(
         best_solution=state.best_solution,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_knapsack_max, edge_profits, programs, top_budget_max
-from qtabu import mapsearch
+from qtabu import mapsearch, tabu
 from qtabu.mapsearch import (
     DEFAULT_EDGE_BUDGET,
     DIRECT_EDGE_PROFIT,
@@ -332,6 +332,33 @@ def test_searches_of_one_problem_derive_its_instance_once():
     for seed, scored in enumerate(shared):
         again = MapSearchProblem(problem.circuit, problem.candidate_edges, problem.edge_budget)
         assert repr(scored) == repr(search_best_map(again, SearchConfig(seed=seed)))
+
+
+def test_searches_of_one_problem_share_their_moves():
+    """A move depends on neither the seed nor the stagnation limit, so the
+    searches of one problem replay each other's moves: twenty searches with
+    seeds 0-19 and three stagnation limits call ``select_move`` a few times
+    once the first has run, where each would call it dozens of times on its
+    own (92 for the first, 932 in all when each kept its moves to itself).
+    Each result equals a search of a new equal problem."""
+    problem = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=6)
+    configs = [
+        SearchConfig(seed=seed, stagnation_limit=(5, 20, 40)[seed % 3]) for seed in range(20)
+    ]
+    calls = 0
+    select_move = tabu.select_move
+
+    def counted_move(state, hood):
+        nonlocal calls
+        calls += 1
+        return select_move(state, hood)
+
+    with mock.patch.object(tabu, "select_move", counted_move):
+        shared = [search_best_map(problem, config) for config in configs]
+    assert calls < 300
+    for config, scored in zip(configs, shared):
+        again = MapSearchProblem(problem.circuit, problem.candidate_edges, problem.edge_budget)
+        assert repr(scored) == repr(search_best_map(again, config))
 
 def test_search_best_map_repeated_seeds_hit_optimum():
     circuit = load_teleport()
