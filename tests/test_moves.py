@@ -658,3 +658,41 @@ def test_the_move_memo_holds_no_more_than_its_bound():
             assert repr(result) == _fresh_run(instance, config)
     assert tabu._TABLES[0] is instance
     assert max(sizes) == room
+
+
+def test_every_memo_entry_is_the_move_from_its_key():
+    """After runs with several seeds, stagnation limits and tenures, each
+    stored move is the one ``select_move`` makes from the best value,
+    selection and tabu list its key names, with the counters that move
+    adds, and the key it leads to keeps the key's best value and tenure."""
+    rng = np.random.default_rng(26)
+    fractional = KnapsackInstance(
+        tuple(rng.uniform(0.5, 30.0, size=5)), tuple(rng.uniform(0.1, 15.0, size=5)), 14.0
+    )
+    for instance in (_map_search_instance(), fractional):
+        for seed in range(12):
+            config = SearchConfig(
+                max_iterations=300,
+                stagnation_limit=(3, 8, 20)[seed % 3],
+                tabu_tenure=(2, 7)[seed % 2],
+                population_mode=MODES[seed // 6],
+                seed=seed,
+            )
+            tabu.qts_run(instance, config)
+        assert tabu._TABLES[0] is instance
+        memo = tabu._TABLES[2]
+        assert memo
+        for (best, tenure, current, *items), move in memo.items():
+            state = _state(current, items, best)
+            chosen, flipped = tabu.select_move(state, tabu._neighbourhood(instance, current))
+            after = deque(items, maxlen=tenure)
+            after.append(flipped)
+            assert move == (
+                chosen,
+                flipped,
+                tabu._neighbourhood(instance, chosen),
+                state.tabu_blocked,
+                state.aspiration_accepts,
+                state.all_tabu_fallbacks,
+                (best, tenure, chosen, *after),
+            )
