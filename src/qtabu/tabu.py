@@ -510,18 +510,19 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     holds the chosen selection, the flipped item, the chosen selection's
     neighbourhood, the three counter increments the move added and the key
     after the move. A repeated key replays its entry, adding the increments
-    to the state, with no ``select_move`` call, cache lookup or new key.
-    The key is built afresh after an escape, which changes the selection,
-    and after an improvement, which changes the best value. Neither the
-    seed, the stagnation limit nor the population mode enters a move, so an
-    entry holds in every later run on the instance and is never cleared.
+    to the state, with no ``select_move`` call or cache lookup, and takes
+    the next key from it. The key is built afresh only after an escape,
+    which changes the selection, and after an improvement, which changes
+    the best value. Neither the seed, the stagnation limit nor the
+    population mode enters a move, so an entry holds in every later run on
+    the instance and the memo is never cleared.
 
     A float best is a safe key. ``0.0`` and ``-0.0`` are one key, and that
     is harmless: the best is only compared (``<=`` in ``select_move``,
     ``>`` in the improvement test), and there the two zeros agree; the
-    trace records the run's own best, not the key's. A NaN best, which
-    would never match its own key, cannot occur, as ``KnapsackInstance``
-    bounds every value and flip score to a finite float.
+    trace records the run's own best, not the key's. A NaN best cannot
+    occur: ``KnapsackInstance`` bounds every value and flip score to a
+    finite float.
 
     The neighbourhood cache and the move memo depend only on the instance,
     so they are kept in the module's one slot for the next run on the same
@@ -577,9 +578,10 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     limit = config.stagnation_limit
     # The stagnation clock runs out after iteration clock_start + limit.
     escape_after = limit
-    # (best, tenure, current, *tabu_list) -> the move from there: (chosen,
-    # flipped, the chosen selection's neighbourhood, the tabu_blocked,
-    # aspiration_accepts and all_tabu_fallbacks it added, and the key after it).
+    # The memo maps (best, tenure, current, *tabu_list) to the move from
+    # there: (chosen, flipped, the chosen selection's neighbourhood, the
+    # tabu_blocked, aspiration_accepts and all_tabu_fallbacks it added, and
+    # the key after it).
     key = (best, tenure, current, *tabu_list)
     for iteration in range(1, config.max_iterations + 1):
         if iteration > escape_after:
