@@ -336,11 +336,10 @@ def test_searches_of_one_problem_derive_its_instance_once():
 
 def test_searches_of_one_problem_share_their_moves():
     """A move depends on neither the seed nor the stagnation limit, so the
-    searches of one problem replay each other's moves: twenty searches with
-    seeds 0-19 and three stagnation limits call ``select_move`` a few times
-    once the first has run, where each would call it dozens of times on its
-    own (92 for the first, 932 in all when each kept its moves to itself).
-    Each result equals a search of a new equal problem."""
+    searches of one problem replay each other's moves: the first of twenty
+    searches with seeds 0-19 and three stagnation limits calls
+    ``select_move`` 92 times, and the other nineteen add few calls. Each
+    result equals a search of a new equal problem."""
     problem = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=6)
     configs = [
         SearchConfig(seed=seed, stagnation_limit=(5, 20, 40)[seed % 3]) for seed in range(20)
