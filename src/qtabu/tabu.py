@@ -40,15 +40,22 @@ best value, the selection and the tabu list's items in order, and the
 tenure fixes the tabu list after it, so ``qts_run`` keeps a memo keyed by
 ``(best_evaluation, tenure, current, *tabu_list)`` and replays a repeated
 move (the chosen selection, the flipped item, its neighbourhood and the
-counter increments) without calling ``select_move``. The seed, the
-stagnation limit and the population mode never enter a move, so an entry
-holds in every later run on the instance and the memo is never cleared.
-Runs on one instance repeat each other's moves, so the cache and the move
-memo live in one module-level slot that serves every run on the same
-instance object (``is``, not ``==``) until a run on another instance
-replaces it. The memo holds at most ``CACHE_SCORES // n_items`` moves, so
-a run with no room in the cache neither reads nor fills the slot and
-makes every move through ``select_move``, with the same bytes.
+counter increments) without calling ``select_move``. Each entry links to
+the entry stored under the key after it, so a run of repeated moves
+follows links: it builds a key only after an escape or an improvement, and
+looks one up only there, after a move it had to pick, or where a link is
+not yet set. The increments of replayed moves add up in locals until the
+run ends. The seed, the stagnation limit
+and the population mode never enter a move, so an entry holds in every
+later run on the instance and the memo is never cleared. Runs on one
+instance repeat each other's moves, so the cache, the move memo and the
+population each mode prepares live in one module-level slot that serves
+every run on the same instance object (``is``, not ``==``) until a run on
+another instance replaces it; each run steps its own copy of the head.
+The memo holds at most ``CACHE_SCORES // n_items`` moves, so a run with no
+room in the cache neither reads nor fills the slot, prepares its own
+population and makes every move through ``select_move``, with the same
+bytes.
 """
 
 from __future__ import annotations
@@ -78,10 +85,11 @@ STEP_ENTRIES = 2**10
 # Widest head, in amplitudes, whose steps go through the table.
 _STEP_AMPLITUDES = 4
 _STEPS: dict[tuple[bytes, GateOp], tuple[np.ndarray, tuple[float, ...]]] = {}
-# The last instance run with room in the cache, and the neighbourhood cache
-# and move memo its runs share (``qts_run``). One slot, not one per
-# instance: a run on another instance frees the last one's tables.
-_TABLES: tuple[object, dict, dict] = (None, {}, {})
+# The last instance run with room in the cache, and the neighbourhood cache,
+# move memo and prepared populations (by mode) its runs share (``qts_run``).
+# One slot, not one per instance: a run on another instance frees the last
+# one's tables.
+_TABLES: tuple[object, dict, dict, dict] = (None, {}, {}, {})
 # The escape gates, built once: cx(0, 1), and h on qubit 1, or on qubit 0
 # when there is only one item (indexed by ``n_items >= 2``).
 _ESCAPE_CX = GateOp(Gate.CX, 1, control=0)
@@ -275,6 +283,15 @@ class Population:
         for j, width in enumerate(tail):
             picks += [total - j] * width
         self._pick = itemgetter(*picks) if len(picks) > 1 else lambda digits: (digits[picks[0]],)
+
+    def copy(self) -> Population:
+        """The same population with its own head array. The CDF and the
+        sampling tables are shared: a gate replaces ``_cdf``, and nothing
+        changes the others."""
+        twin = object.__new__(Population)
+        twin.__dict__.update(self.__dict__)
+        twin.head = self.head.copy()
+        return twin
 
     def apply(self, op: GateOp) -> None:
         """Apply one gate to the head in place.
@@ -508,14 +525,18 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     tenure fixes the tabu list after it. So the run keeps a memo of moves
     keyed by ``(best_evaluation, tenure, current, *tabu_list)``. An entry
     holds the chosen selection, the flipped item, the chosen selection's
-    neighbourhood, the three counter increments the move added and the key
-    after the move. A repeated key replays its entry, adding the increments
-    to the state, with no ``select_move`` call or cache lookup, and takes
-    the next key from it. The key is built afresh only after an escape,
+    neighbourhood, the three counter increments the move added, the key
+    after the move and a link to the entry stored under that key, set the
+    first time a run finds one there (or stores one). A repeated key
+    replays its entry with no ``select_move`` call or cache lookup; its
+    increments add up in three locals, which join the state's counters
+    when the run ends. The next move follows the link, so a key is looked
+    up only when the link is unset, and built afresh only after an escape,
     which changes the selection, and after an improvement, which changes
-    the best value. Neither the seed, the stagnation limit nor the
-    population mode enters a move, so an entry holds in every later run on
-    the instance and the memo is never cleared.
+    the best value. A link never goes stale, because an entry fixes its
+    next key. Neither the seed, the stagnation limit nor the population
+    mode enters a move, so an entry holds in every later run on the
+    instance and the memo is never cleared.
 
     A float best is a safe key. ``0.0`` and ``-0.0`` are one key, and that
     is harmless: the best is only compared (``<=`` in ``select_move``,
@@ -526,29 +547,44 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
 
     The neighbourhood cache and the move memo depend only on the instance,
     so they are kept in the module's one slot for the next run on the same
-    instance object; a run on another instance replaces the slot, freeing
-    the last instance and its tables. Each holds at most
-    ``CACHE_SCORES // n_items`` entries. A run with no room in the cache
-    uses fresh empty tables, leaves the slot as it is, picks every move with
-    ``select_move`` and gives the same bytes. ``state.current`` and
-    ``state.iteration`` are brought up to date before each ``select_move``
-    or ``escape`` call.
+    instance object, with the population ``init_population`` prepares for
+    each mode (at most two); a run starts from a copy of its mode's, with
+    its own head. A run on another instance cuts the links, whose cycles
+    would otherwise wait for the cyclic GC, and replaces the slot, freeing
+    the last instance and its tables. The cache and the memo each hold at
+    most ``CACHE_SCORES // n_items`` entries. A run with no room in the
+    cache uses fresh empty tables and its own population, leaves the slot
+    as it is, picks every move with ``select_move`` and gives the same
+    bytes. ``state.current`` and ``state.iteration`` are brought up to date
+    before each ``select_move`` or ``escape`` call.
     """
     if config is None:
         config = SearchConfig()
     n = instance.n_items
-    rng = np.random.default_rng(config.seed)
-    population = init_population(n, config.population_mode)
-    current = sample_candidate(population, rng)
+    mode = config.population_mode
     # Each selection's neighbourhood gives its trace value and scores the
     # next iteration's moves; the first CACHE_SCORES // n scored are kept,
-    # and as many moves. Both tables serve every run on this instance
-    # object until a run on another one.
+    # and as many moves. Both tables, and the population each mode
+    # prepares, serve every run on this instance object until a run on
+    # another one.
     global _TABLES
     room = CACHE_SCORES // n
-    if room and _TABLES[0] is not instance:
-        _TABLES = (instance, {}, {})
-    _, cache, moves = _TABLES if room else (None, {}, {})
+    if room:
+        if _TABLES[0] is not instance:
+            # The links between the last instance's moves form cycles; cut
+            # them, so its tables are freed at once, not by the cyclic GC.
+            for move in _TABLES[2].values():
+                move[-1] = None
+            _TABLES = (instance, {}, {}, {})
+        _, cache, moves, prepared = _TABLES
+        if mode not in prepared:
+            prepared[mode] = init_population(n, mode)
+        population = prepared[mode].copy()
+    else:
+        cache, moves = {}, {}
+        population = init_population(n, mode)
+    rng = np.random.default_rng(config.seed)
+    current = sample_candidate(population, rng)
     lookup = cache.get
     recall = moves.get
 
@@ -578,11 +614,18 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     limit = config.stagnation_limit
     # The stagnation clock runs out after iteration clock_start + limit.
     escape_after = limit
+    # Replayed moves add their counter increments here, and to the state
+    # once the run ends.
+    blocked_total = aspired_total = fell_back_total = 0
     # The memo maps (best, tenure, current, *tabu_list) to the move from
-    # there: (chosen, flipped, the chosen selection's neighbourhood, the
-    # tabu_blocked, aspiration_accepts and all_tabu_fallbacks it added, and
-    # the key after it).
+    # there, a list: chosen, flipped, the chosen selection's neighbourhood,
+    # the tabu_blocked, aspiration_accepts and all_tabu_fallbacks it added,
+    # the key after it, and a link to the entry stored under that key (None
+    # until a run finds one there). ``move`` is the entry for ``key`` when a
+    # link gave it, or None to look ``key`` up; ``last`` is the entry whose
+    # next key is ``key``, or None when the key was built afresh.
     key = (best, tenure, current, *tabu_list)
+    move = last = None
     for iteration in range(1, config.max_iterations + 1):
         if iteration > escape_after:
             state.current, state.iteration = current, iteration
@@ -591,14 +634,18 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             current = state.current
             hood = lookup(current) or score(current)
             key = (best, tenure, current, *tabu_list)
-        move = recall(key)
+            move = last = None
+        if move is None:
+            move = recall(key)
+            if move is not None and last is not None:
+                last[-1] = move
         if move is None:
             state.current, state.iteration = current, iteration
             before = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
             chosen, flipped = select_move(state, hood)
             hood = lookup(chosen) or score(chosen)
             push(flipped)
-            move = (
+            move = [
                 chosen,
                 flipped,
                 hood,
@@ -606,16 +653,21 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
                 state.aspiration_accepts - before[1],
                 state.all_tabu_fallbacks - before[2],
                 (best, tenure, chosen, *tabu_list),
-            )
+                None,
+            ]
             if len(moves) < room:
                 moves[key] = move
-            key = move[-1]
+                if last is not None:
+                    last[-1] = move
+            key = move[-2]
+            link = None
         else:
-            chosen, flipped, hood, blocked, aspired, fell_back, key = move
+            chosen, flipped, hood, blocked, aspired, fell_back, key, link = move
             push(flipped)
-            state.tabu_blocked += blocked
-            state.aspiration_accepts += aspired
-            state.all_tabu_fallbacks += fell_back
+            blocked_total += blocked
+            aspired_total += aspired
+            fell_back_total += fell_back
+        last = move
         current = chosen
         current_eval = hood[0]
         if current_eval > best:
@@ -624,7 +676,12 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             state.best_iteration = state.clock_start = iteration
             escape_after = iteration + limit
             key = (best, tenure, chosen, *tabu_list)
+            link = last = None
+        move = link
         record((iteration, current_eval, best))
+    state.tabu_blocked += blocked_total
+    state.aspiration_accepts += aspired_total
+    state.all_tabu_fallbacks += fell_back_total
     return SearchResult(
         best_solution=state.best_solution,
         best_evaluation=best,

@@ -6,7 +6,7 @@ seeded runs are replayed from their recorded moves to check the trace and
 the counters in ``SearchResult``. A run scores each selection once and
 reuses it from a bounded cache, and replays a repeated move without
 calling ``select_move`` from a memo that later runs on the same instance
-share. Runs watched through a patched ``select_move`` are run with no room
+share, following links from each entry to the next. Runs watched through a patched ``select_move`` are run with no room
 in the cache (``CACHE_SCORES = 0``), so every move passes through it, and
 must equal the default run. Whole
 runs are checked move by move against the oracle, against runs that
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import oracles
 from qtabu import mapsearch, tabu
 from qtabu.mapsearch import MapSearchProblem, all_directed_pairs, load_teleport, search_best_map
-from qtabu.statevector import Gate
+from qtabu.statevector import Gate, GateOp, apply_gate, normalized_cdf, zero_state
 from qtabu.tabu import KnapsackInstance, SearchConfig, SearchState, fitness, init_population
 
 MODES = ("with_replacement", "without_replacement")
@@ -431,6 +431,11 @@ def test_a_long_run_stores_no_more_than_the_bound():
             if len(held) < room:
                 held.add(bits)
     assert len(set(looked_up)) > room
+    # Lengths and the first differing index first: pytest's diff of two
+    # lists of thousands of selections takes minutes to build.
+    assert len(scored) == len(misses)
+    differ = (k for k, (bits, missed) in enumerate(zip(scored, misses)) if bits != missed)
+    assert next(differ, None) is None
     assert scored == misses
 
 
@@ -664,7 +669,8 @@ def test_every_memo_entry_is_the_move_from_its_key():
     """After runs with several seeds, stagnation limits and tenures, each
     stored move is the one ``select_move`` makes from the best value,
     selection and tabu list its key names, with the counters that move
-    adds, and the key it leads to keeps the key's best value and tenure."""
+    adds, and the key it leads to keeps the key's best value and tenure.
+    A link, once set, is the entry stored under that next key."""
     rng = np.random.default_rng(26)
     fractional = KnapsackInstance(
         tuple(rng.uniform(0.5, 30.0, size=5)), tuple(rng.uniform(0.1, 15.0, size=5)), 14.0
@@ -682,17 +688,131 @@ def test_every_memo_entry_is_the_move_from_its_key():
         assert tabu._TABLES[0] is instance
         memo = tabu._TABLES[2]
         assert memo
+        links = 0
         for (best, tenure, current, *items), move in memo.items():
             state = _state(current, items, best)
             chosen, flipped = tabu.select_move(state, tabu._neighbourhood(instance, current))
             after = deque(items, maxlen=tenure)
             after.append(flipped)
-            assert move == (
+            next_key = (best, tenure, chosen, *after)
+            *fields, link = move
+            assert fields == [
                 chosen,
                 flipped,
                 tabu._neighbourhood(instance, chosen),
                 state.tabu_blocked,
                 state.aspiration_accepts,
                 state.all_tabu_fallbacks,
-                (best, tenure, chosen, *after),
+                next_key,
+            ]
+            if link is not None:
+                assert link is memo[next_key]
+                links += 1
+        assert links > len(memo) // 2
+
+
+class _CountingMemo(dict):
+    """A move memo that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_a_warm_run_looks_up_its_key_only_after_a_jump_or_a_miss():
+    """A replayed move follows its entry's link to the next one, so a key
+    is looked up only at the first draw, after an escape or an improvement,
+    and after a move ``select_move`` picked (or to fill a link the first
+    time it is followed): not once per move."""
+    instance = _map_search_instance()
+    for seed in range(20):
+        tabu.qts_run(instance, SearchConfig(seed=seed))
+    held, cache, moves, prepared = tabu._TABLES
+    assert held is instance
+    memo = _CountingMemo(moves)
+    tabu._TABLES = (instance, cache, memo, prepared)
+    sample = tabu.sample_candidate
+    for seed in range(20, 40):
+        memo.lookups = 0
+        first = []
+
+        def record_first_draw(population, rng):
+            bits = sample(population, rng)
+            if not first:
+                first.append(fitness(instance, bits))
+            return bits
+
+        config = SearchConfig(seed=seed)
+        with mock.patch.object(tabu, "sample_candidate", record_first_draw):
+            result, calls = _counted_run(instance, config)
+        bests = [first[0]] + [best for _, _, best in result.trace]
+        improvements = sum(after > before for before, after in zip(bests, bests[1:]))
+        escapes = result.escapes_cx + result.escapes_h
+        assert memo.lookups <= 1 + escapes + improvements + len(calls)
+        assert memo.lookups < config.max_iterations // 10
+
+
+def test_replacing_the_tables_leaves_no_memo_entry_to_the_cyclic_gc():
+    """Links between memo entries form cycles, which the run on another
+    instance cuts before it drops the tables: with the collector off, a
+    collection after that run finds no memo entry left unreachable."""
+    instance = _map_search_instance()
+    for seed in range(3):
+        tabu.qts_run(instance, SearchConfig(seed=seed))
+    entries = tabu._TABLES[2].values()
+    assert any(entry[-1] is not None for entry in entries)
+    ids = {id(entry) for entry in entries}
+    del entries
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        tabu.qts_run(KnapsackInstance((1.0, 2.0), (1.0, 1.0), 1.0), SearchConfig(seed=1))
+        gc.collect()
+        saved = [item for item in gc.garbage if id(item) in ids and isinstance(item, list)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert saved == []
+
+
+def _hex(values) -> list[str]:
+    return [float.hex(float(x)) for value in values for x in (value.real, value.imag)]
+
+
+def test_each_run_starts_from_its_own_copy_of_the_prepared_population():
+    """Runs on one instance start from the population each mode prepared
+    once, through a copy whose head their escapes step: the next run's
+    head and CDF still equal a fresh preparation from ``zero_state``, and
+    no run's head array shares memory with the stored one's. Items 0 and 1
+    are the best pair, so escapes take h, which steps either head."""
+    instance = KnapsackInstance((5.0, 5.0, 1.0, 1.0, 1.0), (1.0, 1.0, 3.0, 3.0, 3.0), 3.0)
+    fresh = {}
+    for mode, gate in zip(MODES, (GateOp(Gate.H, 1), GateOp(Gate.CX, 1, control=0))):
+        head = apply_gate(apply_gate(zero_state(2), GateOp(Gate.H, 0)), gate)
+        fresh[mode] = _hex(head.amplitudes), _hex(normalized_cdf(head))
+    draws = []  # each draw's head amplitudes, and their hex and CDF's hex
+    sample = tabu.sample_candidate
+
+    def record_draw(population, rng):
+        head = population.head.amplitudes
+        draws.append((head, (_hex(head), _hex(population._cdf))))
+        return sample(population, rng)
+
+    with mock.patch.object(tabu, "sample_candidate", record_draw):
+        for seed in range(6):
+            mode = MODES[seed % 2]
+            config = SearchConfig(
+                max_iterations=60, stagnation_limit=2, population_mode=mode, seed=seed
             )
+            draws.clear()
+            tabu.qts_run(instance, config)
+            assert draws[0][1] == fresh[mode]
+            assert any(state != fresh[mode] for _, state in draws)
+            stored = tabu._TABLES[3][mode].head.amplitudes
+            assert _hex(stored) == fresh[mode][0]
+            assert not any(np.shares_memory(head, stored) for head, _ in draws)
+    assert tabu._TABLES[0] is instance
