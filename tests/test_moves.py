@@ -721,11 +721,13 @@ class _CountingMemo(dict):
         return super().get(key, default)
 
 
-def test_a_warm_run_looks_up_its_key_only_after_a_jump_or_a_miss():
+def test_a_warm_run_looks_up_keys_only_after_escapes_improvements_and_misses():
     """A replayed move follows its entry's link to the next one, so a key
     is looked up only at the first draw, after an escape or an improvement,
-    and after a move ``select_move`` picked (or to fill a link the first
-    time it is followed): not once per move."""
+    after a move ``select_move`` picked, and where a link is still unset.
+    On a problem twenty runs have warmed the links are set, and each run
+    stays within ``1 + escapes + improvements + misses`` lookups, where one
+    lookup per move would make 500."""
     instance = _map_search_instance()
     for seed in range(20):
         tabu.qts_run(instance, SearchConfig(seed=seed))
@@ -780,6 +782,7 @@ def test_replacing_the_tables_leaves_no_memo_entry_to_the_cyclic_gc():
 
 
 def _hex(values) -> list[str]:
+    """Each value's real and imaginary parts, by ``float.hex``."""
     return [float.hex(float(x)) for value in values for x in (value.real, value.imag)]
 
 
@@ -794,7 +797,7 @@ def test_each_run_starts_from_its_own_copy_of_the_prepared_population():
     for mode, gate in zip(MODES, (GateOp(Gate.H, 1), GateOp(Gate.CX, 1, control=0))):
         head = apply_gate(apply_gate(zero_state(2), GateOp(Gate.H, 0)), gate)
         fresh[mode] = _hex(head.amplitudes), _hex(normalized_cdf(head))
-    draws = []  # each draw's head amplitudes, and their hex and CDF's hex
+    draws = []  # each draw's head array, with its amplitudes and CDF by hex
     sample = tabu.sample_candidate
 
     def record_draw(population, rng):
