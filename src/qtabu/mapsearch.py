@@ -30,7 +30,9 @@ the B largest profits: a selection of at most B edges scores its profit,
 one of B + 1 edges scores 0, and a larger one at most 0. That sum ignores
 connectivity, so a budget below the circuit's interacting pairs can give a
 winner the circuit cannot be routed on (``cx`` along a chain of 11 pairs at
-a budget of 6).
+a budget of 6). At B = 0 the empty selection is optimal, but a one-edge
+selection ties it at 0.0 and a run keeps the first selection to reach its
+best, so no search runs there.
 
 The engine holds any number of items, so the search is as wide as the
 circuit's profit-bearing edges (teleport gives 4 of them at any number of
@@ -110,11 +112,11 @@ class MapSearchProblem:
     def _derived(self) -> tuple[KnapsackInstance, tuple[int, ...], KnapsackInstance | None]:
         """``derive_knapsack(self)``, the indices of its profit-bearing edges,
         and the instance over those edges alone that the engine runs (None
-        when there is none), built on first use."""
+        when there is none or the budget is 0), built on first use."""
         instance = derive_knapsack(self)
         kept = tuple(k for k, profit in enumerate(instance.profits) if profit > 0.0)
         engine = None
-        if kept:
+        if kept and self.edge_budget:
             engine = KnapsackInstance(
                 tuple(instance.profits[k] for k in kept),
                 tuple(instance.weights[k] for k in kept),
@@ -189,7 +191,8 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
     The engine sees only the profit-bearing edges (module docstring); the
     result's ``best_solution`` has one bit per candidate, 0 on every other
     edge, and its trace and counters are the run's. With no profit-bearing
-    edge the empty selection is optimal and no search runs. The reported
+    edge, or a budget of 0, the empty selection is optimal and no search
+    runs. The reported
     score is bit for bit ``fitness`` of the returned selection over
     ``derive_knapsack(problem)``. Routing the circuit on the winning map can
     fail (for example with a budget of zero); the report is then None.

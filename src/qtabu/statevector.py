@@ -79,7 +79,7 @@ class StateVector:
                 f"amplitude count must be 2**n for 1 <= n <= {MAX_QUBITS}, got {amps.size}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails this test too
             raise ValueError(f"state is not normalized: sum |a|^2 = {norm_sq!r}")
         return cls(n, amps)
 

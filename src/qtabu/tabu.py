@@ -42,20 +42,24 @@ tenure fixes the tabu list after it, so ``qts_run`` keeps a memo keyed by
 move (the chosen selection, the flipped item, its neighbourhood and the
 counter increments) without calling ``select_move``. Each entry links to
 the entry stored under the key after it, so a run of repeated moves
-follows links: it builds a key only after an escape or an improvement, and
-looks one up only there, after a move it had to pick, or where a link is
-not yet set. The increments of replayed moves add up in locals until the
-run ends. The seed, the stagnation limit
-and the population mode never enter a move, so an entry holds in every
-later run on the instance and the memo is never cleared. Runs on one
-instance repeat each other's moves, so the cache, the move memo and the
-population each mode prepares live in one module-level slot that serves
-every run on the same instance object (``is``, not ``==``) until a run on
-another instance replaces it; each run steps its own copy of the head.
-The memo holds at most ``CACHE_SCORES // n_items`` moves, so a run with no
-room in the cache neither reads nor fills the slot, prepares its own
-population and makes every move through ``select_move``, with the same
-bytes.
+follows links: it builds a key and looks it up only at the first draw,
+after an escape or an improvement, after a move it had to pick, or where a
+link is not yet set. An entry stores no key: the key after its move is
+the run's own best, tenure, chosen selection and tabu list. The
+increments of replayed moves add up in locals until the run ends. The
+seed, the stagnation limit and the population mode never enter a move, so
+an entry holds in every later run on the instance and the memo is never
+cleared. Runs on one instance repeat each other's moves, so the cache and
+the move memo live in one module-level slot that serves every run on the
+same instance object (``is``, not ``==``) until a run on another instance
+replaces it. The memo holds at most ``CACHE_SCORES // n_items`` moves, so
+a run with no room in the cache neither reads nor fills the slot and
+makes every move through ``select_move``, with the same bytes.
+
+A prepared population depends only on its item count and mode, so
+``init_population`` builds one template per ``(n_items, mode)``, keeps the
+last ``len(_MODES)`` of them process-wide, and hands out copies; each run
+steps the head of its own copy, never the template's.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import lru_cache
+from numbers import Integral
 from operator import itemgetter
 from typing import Iterable, Literal, Sequence, get_args
 
@@ -85,11 +91,10 @@ STEP_ENTRIES = 2**10
 # Widest head, in amplitudes, whose steps go through the table.
 _STEP_AMPLITUDES = 4
 _STEPS: dict[tuple[bytes, GateOp], tuple[np.ndarray, tuple[float, ...]]] = {}
-# The last instance run with room in the cache, and the neighbourhood cache,
-# move memo and prepared populations (by mode) its runs share (``qts_run``).
-# One slot, not one per instance: a run on another instance frees the last
-# one's tables.
-_TABLES: tuple[object, dict, dict, dict] = (None, {}, {}, {})
+# The last instance run with room in the cache, and the neighbourhood cache
+# and move memo its runs share (``qts_run``). One slot, not one per
+# instance: a run on another instance frees the last one's tables.
+_TABLES: tuple[object, dict, dict] = (None, {}, {})
 # The escape gates, built once: cx(0, 1), and h on qubit 1, or on qubit 0
 # when there is only one item (indexed by ``n_items >= 2``).
 _ESCAPE_CX = GateOp(Gate.CX, 1, control=0)
@@ -217,6 +222,16 @@ def fitness(instance: KnapsackInstance, bits: Sequence[int]) -> float:
     return _neighbourhood(instance, bits)[0]
 
 
+def _integer(name: str, value: object) -> int:
+    """``value`` as an ``int``; ``ValueError`` naming ``name`` unless it is an
+    integer (a ``bool`` is not one)."""
+    if type(value) is int:  # skips the slow ``Integral`` check
+        return value
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Engine knobs; building one (``replace`` too) raises ``ValueError`` for a
@@ -229,6 +244,12 @@ class SearchConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("max_iterations", "stagnation_limit", "tabu_tenure", "seed"):
+            value = getattr(self, name)
+            if value is not None or name in ("max_iterations", "stagnation_limit"):
+                # Stored as an ``int``: a numpy integer would pass the
+                # check, then fail as a deque's maxlen.
+                object.__setattr__(self, name, _integer(name, value))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.stagnation_limit < 1:
@@ -240,6 +261,8 @@ class SearchConfig:
             raise ValueError(
                 f"tabu_tenure {tenure} must be smaller than max_iterations {self.max_iterations}"
             )
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.population_mode not in _MODES:
             raise ValueError(f"unknown population mode {self.population_mode!r}")
 
@@ -387,18 +410,27 @@ class SearchResult(EngineCounters):
 
 
 def init_population(n_items: int, mode: PopulationMode = "with_replacement") -> Population:
-    """Prepare the population state.
+    """Prepare the population state, as a copy of its ``_template``.
 
     ``with_replacement`` puts every qubit in ``|+>`` (uniform over all
     selections). ``without_replacement`` entangles item pairs (2k, 2k+1)
     into Bell states so paired items are sampled together, with a lone
     trailing item left in ``|+>``. Only the head over qubits 0 and 1 is
     stored as amplitudes, made by the escape gates; no ``2**n_items`` array.
+    The arguments are checked before the template is looked up.
     """
+    n_items = _integer("n_items", n_items)
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     if mode not in _MODES:
         raise ValueError(f"unknown population mode {mode!r}")
+    return _template(n_items, mode).copy()
+
+
+@lru_cache(maxsize=len(_MODES))
+def _template(n_items: int, mode: PopulationMode) -> Population:
+    """The population ``init_population`` copies, built once per
+    ``(n_items, mode)``; the last ``len(_MODES)`` are kept."""
     head = apply_gate(zero_state(min(n_items, 2)), _ESCAPE_H[0])
     if n_items == 1:
         return Population(head)
@@ -518,25 +550,12 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     """Run the full search loop and return the best selection found.
 
     Deterministic for a fixed config seed: the same instance and config
-    reproduce the identical result, trace included.
-
-    The move ``select_move`` picks depends only on the best value, the
-    selection it starts from and the tabu list's items in order, and the
-    tenure fixes the tabu list after it. So the run keeps a memo of moves
-    keyed by ``(best_evaluation, tenure, current, *tabu_list)``. An entry
-    holds the chosen selection, the flipped item, the chosen selection's
-    neighbourhood, the three counter increments the move added, the key
-    after the move and a link to the entry stored under that key, set the
-    first time a run finds one there (or stores one). A repeated key
-    replays its entry with no ``select_move`` call or cache lookup; its
-    increments add up in three locals, which join the state's counters
-    when the run ends. The next move follows the link, so a key is looked
-    up only when the link is unset, and built afresh only after an escape,
-    which changes the selection, and after an improvement, which changes
-    the best value. A link never goes stale, because an entry fixes its
-    next key. Neither the seed, the stagnation limit nor the population
-    mode enters a move, so an entry holds in every later run on the
-    instance and the memo is never cleared.
+    reproduce the identical result, trace included. The module docstring
+    describes the neighbourhood cache, the move memo and the slot that
+    keeps both for the next run on the same instance object. A link never
+    goes stale, because an entry's move fixes the key after it; a run on
+    another instance cuts the links, whose cycles would otherwise wait for
+    the cyclic GC, before it replaces the slot.
 
     A float best is a safe key. ``0.0`` and ``-0.0`` are one key, and that
     is harmless: the best is only compared (``<=`` in ``select_move``,
@@ -545,28 +564,16 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     occur: ``KnapsackInstance`` bounds every value and flip score to a
     finite float.
 
-    The neighbourhood cache and the move memo depend only on the instance,
-    so they are kept in the module's one slot for the next run on the same
-    instance object, with the population ``init_population`` prepares for
-    each mode (at most two); a run starts from a copy of its mode's, with
-    its own head. A run on another instance cuts the links, whose cycles
-    would otherwise wait for the cyclic GC, and replaces the slot, freeing
-    the last instance and its tables. The cache and the memo each hold at
-    most ``CACHE_SCORES // n_items`` entries. A run with no room in the
-    cache uses fresh empty tables and its own population, leaves the slot
-    as it is, picks every move with ``select_move`` and gives the same
-    bytes. ``state.current`` and ``state.iteration`` are brought up to date
-    before each ``select_move`` or ``escape`` call.
+    ``state.current`` and ``state.iteration`` are brought up to date before
+    each ``select_move`` or ``escape`` call.
     """
     if config is None:
         config = SearchConfig()
     n = instance.n_items
-    mode = config.population_mode
     # Each selection's neighbourhood gives its trace value and scores the
     # next iteration's moves; the first CACHE_SCORES // n scored are kept,
-    # and as many moves. Both tables, and the population each mode
-    # prepares, serve every run on this instance object until a run on
-    # another one.
+    # and as many moves. Both tables serve every run on this instance
+    # object until a run on another one.
     global _TABLES
     room = CACHE_SCORES // n
     if room:
@@ -575,14 +582,11 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             # them, so its tables are freed at once, not by the cyclic GC.
             for move in _TABLES[2].values():
                 move[-1] = None
-            _TABLES = (instance, {}, {}, {})
-        _, cache, moves, prepared = _TABLES
-        if mode not in prepared:
-            prepared[mode] = init_population(n, mode)
-        population = prepared[mode].copy()
+            _TABLES = (instance, {}, {})
+        _, cache, moves = _TABLES
     else:
         cache, moves = {}, {}
-        population = init_population(n, mode)
+    population = init_population(n, config.population_mode)
     rng = np.random.default_rng(config.seed)
     current = sample_candidate(population, rng)
     lookup = cache.get
@@ -620,11 +624,10 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     # The memo maps (best, tenure, current, *tabu_list) to the move from
     # there, a list: chosen, flipped, the chosen selection's neighbourhood,
     # the tabu_blocked, aspiration_accepts and all_tabu_fallbacks it added,
-    # the key after it, and a link to the entry stored under that key (None
-    # until a run finds one there). ``move`` is the entry for ``key`` when a
-    # link gave it, or None to look ``key`` up; ``last`` is the entry whose
-    # next key is ``key``, or None when the key was built afresh.
-    key = (best, tenure, current, *tabu_list)
+    # and a link to the entry stored under the key after it (None until a
+    # run finds one there). ``move`` is the entry for the current key when
+    # a link gave it, or None to look the key up; ``last`` is the entry
+    # whose next key that is, or None after an escape or an improvement.
     move = last = None
     for iteration in range(1, config.max_iterations + 1):
         if iteration > escape_after:
@@ -633,9 +636,9 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             escape_after = state.clock_start + limit
             current = state.current
             hood = lookup(current) or score(current)
-            key = (best, tenure, current, *tabu_list)
             move = last = None
         if move is None:
+            key = (best, tenure, current, *tabu_list)
             move = recall(key)
             if move is not None and last is not None:
                 last[-1] = move
@@ -652,17 +655,15 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
                 state.tabu_blocked - before[0],
                 state.aspiration_accepts - before[1],
                 state.all_tabu_fallbacks - before[2],
-                (best, tenure, chosen, *tabu_list),
                 None,
             ]
             if len(moves) < room:
                 moves[key] = move
                 if last is not None:
                     last[-1] = move
-            key = move[-2]
             link = None
         else:
-            chosen, flipped, hood, blocked, aspired, fell_back, key, link = move
+            chosen, flipped, hood, blocked, aspired, fell_back, link = move
             push(flipped)
             blocked_total += blocked
             aspired_total += aspired
@@ -675,7 +676,6 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             state.best_solution = chosen
             state.best_iteration = state.clock_start = iteration
             escape_after = iteration + limit
-            key = (best, tenure, chosen, *tabu_list)
             link = last = None
         move = link
         record((iteration, current_eval, best))

@@ -219,10 +219,17 @@ def test_search_best_map_matches_brute_force():
 
 
 def test_search_best_map_budget_zero_scores_zero():
+    """At budget 0 the empty map is optimal; a one-edge map ties it at 0.0,
+    so no search runs and the map is empty at every seed."""
     circuit = load_teleport()
-    problem = MapSearchProblem(circuit, all_directed_pairs(3), edge_budget=0)
-    result = search_best_map(problem, SearchConfig(max_iterations=50, seed=3))
-    assert result.score == 0.0
+    for n_physical in (3, 5):
+        problem = MapSearchProblem(circuit, all_directed_pairs(n_physical), edge_budget=0)
+        for seed in range(8):
+            result = search_best_map(problem, SearchConfig(max_iterations=50, seed=seed))
+            assert repr(result.score) == "0.0"
+            assert result.map.edges == ()
+            assert not any(result.search.best_solution)
+            assert (result.search.iterations_run, result.search.trace) == (0, [])
 
 
 def test_search_best_map_unroutable_selection_reports_none():

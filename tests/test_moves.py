@@ -669,8 +669,10 @@ def test_every_memo_entry_is_the_move_from_its_key():
     """After runs with several seeds, stagnation limits and tenures, each
     stored move is the one ``select_move`` makes from the best value,
     selection and tabu list its key names, with the counters that move
-    adds, and the key it leads to keeps the key's best value and tenure.
-    A link, once set, is the entry stored under that next key."""
+    adds. An entry stores no key: the test builds the key after the move
+    from the key's best value and tenure, the chosen selection and the
+    tabu list with the flipped item pushed, and a link, once set, is the
+    entry stored under that next key."""
     rng = np.random.default_rng(26)
     fractional = KnapsackInstance(
         tuple(rng.uniform(0.5, 30.0, size=5)), tuple(rng.uniform(0.1, 15.0, size=5)), 14.0
@@ -703,7 +705,6 @@ def test_every_memo_entry_is_the_move_from_its_key():
                 state.tabu_blocked,
                 state.aspiration_accepts,
                 state.all_tabu_fallbacks,
-                next_key,
             ]
             if link is not None:
                 assert link is memo[next_key]
@@ -721,7 +722,7 @@ class _CountingMemo(dict):
         return super().get(key, default)
 
 
-def test_a_warm_run_looks_up_keys_only_after_escapes_improvements_and_misses():
+def test_a_warm_run_looks_up_keys_only_after_escapes_improvements_and_misses(monkeypatch):
     """A replayed move follows its entry's link to the next one, so a key
     is looked up only at the first draw, after an escape or an improvement,
     after a move ``select_move`` picked, and where a link is still unset.
@@ -731,10 +732,10 @@ def test_a_warm_run_looks_up_keys_only_after_escapes_improvements_and_misses():
     instance = _map_search_instance()
     for seed in range(20):
         tabu.qts_run(instance, SearchConfig(seed=seed))
-    held, cache, moves, prepared = tabu._TABLES
+    held, cache, moves = tabu._TABLES
     assert held is instance
     memo = _CountingMemo(moves)
-    tabu._TABLES = (instance, cache, memo, prepared)
+    monkeypatch.setattr(tabu, "_TABLES", (instance, cache, memo))
     sample = tabu.sample_candidate
     for seed in range(20, 40):
         memo.lookups = 0
@@ -786,17 +787,24 @@ def _hex(values) -> list[str]:
     return [float.hex(float(x)) for value in values for x in (value.real, value.imag)]
 
 
-def test_each_run_starts_from_its_own_copy_of_the_prepared_population():
-    """Runs on one instance start from the population each mode prepared
-    once, through a copy whose head their escapes step: the next run's
-    head and CDF still equal a fresh preparation from ``zero_state``, and
-    no run's head array shares memory with the stored one's. Items 0 and 1
-    are the best pair, so escapes take h, which steps either head."""
-    instance = KnapsackInstance((5.0, 5.0, 1.0, 1.0, 1.0), (1.0, 1.0, 3.0, 3.0, 3.0), 3.0)
+def _fresh_heads() -> dict[str, tuple[list[str], list[str]]]:
+    """Each mode's head over two items, prepared from ``zero_state``, and
+    its CDF, by ``float.hex``."""
     fresh = {}
     for mode, gate in zip(MODES, (GateOp(Gate.H, 1), GateOp(Gate.CX, 1, control=0))):
         head = apply_gate(apply_gate(zero_state(2), GateOp(Gate.H, 0)), gate)
         fresh[mode] = _hex(head.amplitudes), _hex(normalized_cdf(head))
+    return fresh
+
+
+def test_each_run_starts_from_its_own_copy_of_the_prepared_population():
+    """Runs start from a copy of the template ``init_population`` keeps for
+    their item count and mode, whose head their escapes step: the template's
+    head and CDF still equal a fresh preparation from ``zero_state``, and no
+    run's head array shares memory with the template's. Items 0 and 1 are
+    the best pair, so escapes take h, which steps either head."""
+    instance = KnapsackInstance((5.0, 5.0, 1.0, 1.0, 1.0), (1.0, 1.0, 3.0, 3.0, 3.0), 3.0)
+    fresh = _fresh_heads()
     draws = []  # each draw's head array, with its amplitudes and CDF by hex
     sample = tabu.sample_candidate
 
@@ -815,7 +823,55 @@ def test_each_run_starts_from_its_own_copy_of_the_prepared_population():
             tabu.qts_run(instance, config)
             assert draws[0][1] == fresh[mode]
             assert any(state != fresh[mode] for _, state in draws)
-            stored = tabu._TABLES[3][mode].head.amplitudes
-            assert _hex(stored) == fresh[mode][0]
-            assert not any(np.shares_memory(head, stored) for head, _ in draws)
+            template = tabu._template(instance.n_items, mode)
+            assert (_hex(template.head.amplitudes), _hex(template._cdf)) == fresh[mode]
+            assert not any(np.shares_memory(head, template.head.amplitudes) for head, _ in draws)
     assert tabu._TABLES[0] is instance
+
+
+def _knapsack_10item_instances(count: int) -> list[KnapsackInstance]:
+    """Integral 10-item instances at half their total weight, as the
+    ``knapsack-10item`` benchmark draws them."""
+    rng = np.random.default_rng(28)
+    instances = []
+    for _ in range(count):
+        profits = tuple(float(v) for v in rng.integers(1, 30, size=10))
+        weights = tuple(float(v) for v in rng.integers(1, 15, size=10))
+        instances.append(KnapsackInstance(profits, weights, float(round(sum(weights) * 0.5))))
+    return instances
+
+
+def test_each_mode_prepares_its_population_once_per_item_count():
+    """In ``knapsack-10item``'s shape, where the instance changes every two
+    runs and the mode every run, the population is prepared twice in all,
+    once per mode, however often the instance changes. A run with no room
+    in the cache starts from the same template and equals the default run.
+    The runs' escapes step their heads, yet each template's head and CDF
+    still equal a fresh preparation, and two ``init_population`` calls
+    never share a head array."""
+    tabu._template.cache_clear()
+    prepared = []
+    zero = tabu.zero_state
+
+    def counted_zero_state(n_qubits):
+        prepared.append(n_qubits)
+        return zero(n_qubits)
+
+    escapes_h = 0
+    with mock.patch.object(tabu, "zero_state", counted_zero_state):
+        for i, instance in enumerate(_knapsack_10item_instances(6)):
+            for mode in MODES:
+                config = SearchConfig(stagnation_limit=5, population_mode=mode, seed=i)
+                result = tabu.qts_run(instance, config)
+                escapes_h += result.escapes_h
+        with mock.patch.object(tabu, "CACHE_SCORES", 0):
+            assert repr(tabu.qts_run(instance, config)) == repr(result)
+    assert prepared == [2, 2]
+    assert escapes_h
+    fresh = _fresh_heads()
+    for mode in MODES:
+        template = tabu._template(10, mode)
+        assert (_hex(template.head.amplitudes), _hex(template._cdf)) == fresh[mode]
+        first, second = tabu.init_population(10, mode), tabu.init_population(10, mode)
+        assert not np.shares_memory(first.head.amplitudes, second.head.amplitudes)
+        assert not np.shares_memory(first.head.amplitudes, template.head.amplitudes)

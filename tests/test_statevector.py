@@ -51,6 +51,10 @@ def test_from_amplitudes_validates():
         StateVector.from_amplitudes([1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="not normalized"):
         StateVector.from_amplitudes([1.0, 1.0])
+    nan = float("nan")
+    for amplitudes in ([nan, 0.0], [1.0, nan], [complex(nan, 0.0), 1.0]):
+        with pytest.raises(ValueError, match="state is not normalized"):
+            StateVector.from_amplitudes(amplitudes)
 
 
 def test_x_flips_lsb_qubit():

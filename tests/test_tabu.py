@@ -152,6 +152,24 @@ def test_init_population_validation():
         init_population(2, "sideways")
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        ((0,), "n_items must be >= 1, got 0"),
+        ((2, "bogus"), "unknown population mode 'bogus'"),
+        ((2, ["x"]), r"unknown population mode \['x'\]"),
+        ((2.5,), "n_items must be an integer, got 2.5"),
+        (("3",), "n_items must be an integer, got '3'"),
+        ((True,), "n_items must be an integer, got True"),
+    ],
+)
+def test_init_population_checks_its_arguments_before_its_templates(args, message):
+    """Bad arguments raise ``ValueError``, never the ``TypeError`` of a
+    memo lookup or of building a tail."""
+    with pytest.raises(ValueError, match=message):
+        init_population(*args)
+
+
 def test_sample_candidate_basis_state_deterministic():
     state = zero_state(3)
     apply_gate(state, GateOp(Gate.X, 0))
@@ -386,8 +404,16 @@ def test_qts_run_config_validation():
             "tabu_tenure 1 must be smaller than max_iterations 1",
         ),
         ({"population_mode": "bogus"}, "unknown population mode 'bogus'"),
+        # Settings that built but failed inside a run, or ran wrongly.
+        ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+        ({"max_iterations": True}, "max_iterations must be an integer, got True"),
+        ({"tabu_tenure": 1.5}, "tabu_tenure must be an integer, got 1.5"),
+        ({"stagnation_limit": float("nan")}, "stagnation_limit must be an integer, got nan"),
+        ({"stagnation_limit": 3.0}, "stagnation_limit must be an integer, got 3.0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ],
-    ids=[f"config{k}" for k in range(6)],
+    ids=[f"config{k}" for k in range(13)],
 )
 def test_search_config_rejects_what_the_engine_rejected(settings, message):
     """Each setting ``qts_run`` refused, with its message, now refuses to
@@ -397,6 +423,19 @@ def test_search_config_rejects_what_the_engine_rejected(settings, message):
     with pytest.raises(ValueError) as replaced:
         dataclasses.replace(SearchConfig(), **settings)
     assert str(built.value) == str(replaced.value) == message
+
+
+def test_search_config_takes_integers_of_any_type():
+    """A numpy integer is an integer: it is stored as an ``int``, and the run
+    equals one configured with plain ints."""
+    config = SearchConfig(
+        max_iterations=np.int64(5), stagnation_limit=np.int32(2), tabu_tenure=np.uint8(1), seed=0
+    )
+    plain = SearchConfig(max_iterations=5, stagnation_limit=2, tabu_tenure=1, seed=0)
+    assert config == plain
+    assert all(type(getattr(config, name)) is int for name in ("max_iterations", "seed"))
+    instance = KnapsackInstance((5.0, 3.0), (1.0, 1.0), 1.0)
+    assert repr(qts_run(instance, config)) == repr(qts_run(instance, plain))
 
 
 def test_derived_tenure_stays_shorter_than_the_run():
