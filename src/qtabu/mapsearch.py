@@ -30,9 +30,11 @@ the B largest profits: a selection of at most B edges scores its profit,
 one of B + 1 edges scores 0, and a larger one at most 0. That sum ignores
 connectivity, so a budget below the circuit's interacting pairs can give a
 winner the circuit cannot be routed on (``cx`` along a chain of 11 pairs at
-a budget of 6). At B = 0 the empty selection is optimal, but a one-edge
-selection ties it at 0.0 and a run keeps the first selection to reach its
-best, so no search runs there.
+a budget of 6). A selection over the budget scores at most 0.0, the empty
+selection's score, yet a run keeps the first selection to reach its best,
+so a run too short to reach a positive selection can end over the budget;
+the empty selection is returned instead. At B = 0 no search runs: every
+selection but the empty one is over the budget.
 
 The engine holds any number of items, so the search is as wide as the
 circuit's profit-bearing edges (teleport gives 4 of them at any number of
@@ -56,7 +58,7 @@ from .routing import (
     direct_support_count,
     route,
 )
-from .tabu import KnapsackInstance, SearchConfig, SearchResult, fitness, qts_run
+from .tabu import KnapsackInstance, SearchConfig, SearchResult, _integer, fitness, qts_run
 
 DIRECT_EDGE_PROFIT = 1.0
 REVERSED_EDGE_PROFIT = 0.5
@@ -105,6 +107,8 @@ class MapSearchProblem:
             )
         # CouplingMap rejects negative endpoints, self-loops and duplicates.
         CouplingMap.spanning(self.candidate_edges)
+        # Stored as an ``int``, under the rule ``SearchConfig`` uses.
+        object.__setattr__(self, "edge_budget", _integer("edge_budget", self.edge_budget))
         if self.edge_budget < 0:
             raise ValueError("edge_budget must be >= 0")
 
@@ -190,9 +194,11 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
 
     The engine sees only the profit-bearing edges (module docstring); the
     result's ``best_solution`` has one bit per candidate, 0 on every other
-    edge, and its trace and counters are the run's. With no profit-bearing
-    edge, or a budget of 0, the empty selection is optimal and no search
-    runs. The reported
+    edge, and its trace and counters are the run's. A run that ends over
+    the budget scores at most 0.0, so the empty selection is returned in
+    its place, with best evaluation 0.0 and best iteration 0. With no
+    profit-bearing edge, or a budget of 0, the empty selection is optimal
+    and no search runs. The reported
     score is bit for bit ``fitness`` of the returned selection over
     ``derive_knapsack(problem)``. Routing the circuit on the winning map can
     fail (for example with a budget of zero); the report is then None.
@@ -206,9 +212,14 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
     bits = [0] * instance.n_items
     if engine is not None:
         result = qts_run(engine, config)
-        for k, bit in zip(kept, result.best_solution):
-            bits[k] = bit
-        result = replace(result, best_solution=tuple(bits))
+        if sum(result.best_solution) <= problem.edge_budget:
+            for k, bit in zip(kept, result.best_solution):
+                bits[k] = bit
+            result = replace(result, best_solution=tuple(bits))
+        else:
+            result = replace(
+                result, best_solution=tuple(bits), best_evaluation=0.0, best_iteration=0
+            )
     else:
         result = SearchResult(
             best_solution=tuple(bits),

@@ -16,6 +16,7 @@ import json
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 from .qasm import Program
 from .statevector import Gate, GateOp, MeasureOp
@@ -29,6 +30,11 @@ class MapFormatError(ValueError):
     """Malformed coupling-map data (not a pair list, self-loop, duplicate)."""
 
 
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is an integer (a numpy one too, but not a ``bool``)."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CouplingMap:
     """Directed connectivity over ``n_physical`` qubits; the first faulty edge is reported."""
@@ -40,6 +46,8 @@ class CouplingMap:
         seen: set[tuple[int, int]] = set()
         for edge in self.edges:
             a, b = edge
+            if not (_is_integer(a) and _is_integer(b)):
+                raise MapFormatError(f"edge {list(edge)} is not a pair of integers")
             if a < 0 or b < 0:
                 raise MapFormatError(f"edge {list(edge)} has a negative endpoint")
             if a == b:
@@ -93,7 +101,7 @@ def parse_coupling_map(text: str) -> CouplingMap:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
+            or not all(map(_is_integer, item))
         ):
             raise MapFormatError(f"edge {item!r} is not a pair of integers")
         edges.append((item[0], item[1]))

@@ -6,6 +6,9 @@ under a tabu list with an aspiration rule, and when the search stagnates
 the population itself is perturbed with a gate (an entangling cx or an h)
 before resampling. The tabu list is a window over the items of the last
 ``tenure`` moves, so a flipped item stays tabu for the next ``tenure`` moves.
+Both moves are plain functions of their arguments: ``select_move`` writes
+nothing and ``escape`` writes only the population, while ``qts_run`` keeps
+the run (selection, best, tabu list, clock and counters) in its locals.
 
 Those gates only ever act on qubits 0 and 1, so every other qubit keeps its
 prepared ``|+>`` or Bell-pair half for the whole run (the Q-bit individual
@@ -45,16 +48,18 @@ the entry stored under the key after it, so a run of repeated moves
 follows links: it builds a key and looks it up only at the first draw,
 after an escape or an improvement, after a move it had to pick, or where a
 link is not yet set. An entry stores no key: the key after its move is
-the run's own best, tenure, chosen selection and tabu list. The
-increments of replayed moves add up in locals until the run ends. The
-seed, the stagnation limit and the population mode never enter a move, so
-an entry holds in every later run on the instance and the memo is never
-cleared. Runs on one instance repeat each other's moves, so the cache and
-the move memo live in one module-level slot that serves every run on the
-same instance object (``is``, not ``==``) until a run on another instance
-replaces it. The memo holds at most ``CACHE_SCORES // n_items`` moves, so
-a run with no room in the cache neither reads nor fills the slot and
-makes every move through ``select_move``, with the same bytes.
+the run's own best, tenure, chosen selection and tabu list. A picked
+move is stored as the same entry a replay reads, so both end alike: the
+flip is pushed and the increments are added to the run's locals. The
+seed, the stagnation limit and the population mode never enter a move,
+so an entry holds in every later run on the instance and the memo is
+never cleared. Runs on one instance repeat each other's moves, so the
+cache and the move memo live in one module-level slot that serves every
+run on the same instance object (``is``, not ``==``) until a run on
+another instance replaces it. The memo holds at most ``CACHE_SCORES //
+n_items`` moves, so a run with no room in the cache neither reads nor
+fills the slot and makes every move through ``select_move``, with the
+same bytes.
 
 A prepared population depends only on its item count and mode, so
 ``init_population`` builds one template per ``(n_items, mode)``, keeps the
@@ -380,24 +385,8 @@ class EngineCounters:
     all_tabu_fallbacks: int = 0  # selections that took the oldest tabu move
 
 
-# The counters' names, copied from a run's state into its result.
+# The counters' names, in field order.
 _COUNTERS = tuple(counter.name for counter in fields(EngineCounters))
-
-
-@dataclass
-class SearchState(EngineCounters):
-    """Mutable state threaded through one search run's moves and escapes."""
-
-    population: Population | StateVector
-    current: CandidateSolution
-    best_solution: CandidateSolution
-    best_evaluation: float
-    best_iteration: int  # when best_evaluation was first reached
-    iteration: int
-    tabu_list: deque[int]  # items of the last moves, oldest first; maxlen is the tenure
-    # The iteration the stagnation clock last restarted at: the last
-    # improvement or escape.
-    clock_start: int = 0
 
 
 @dataclass
@@ -489,18 +478,24 @@ def _neighbourhood(instance: KnapsackInstance, bits: Sequence[int]) -> Neighbour
     return value, scores, ranked
 
 
-def select_move(state: SearchState, hood: Neighbourhood) -> tuple[CandidateSolution, int]:
-    """Pick the next selection from the flip neighborhood of ``state.current``.
+def select_move(
+    hood: Neighbourhood,
+    current: CandidateSolution,
+    tabu_list: Sequence[int],
+    best: float,
+) -> tuple[CandidateSolution, int, int, int, int]:
+    """Pick the next selection from the flip neighbourhood of ``current``.
 
-    ``hood`` is ``_neighbourhood`` of ``state.current``; it is only read,
-    never changed. Moves on the items in ``state.tabu_list`` are skipped
-    unless they beat ``best_evaluation`` (aspiration). The best admissible
+    ``hood`` is ``_neighbourhood`` of ``current``, and ``tabu_list`` holds
+    the items of the last moves, oldest first. Moves on its items are
+    skipped unless they beat ``best`` (aspiration). The best admissible
     score wins, ties to the lowest item index. If every move is tabu and
-    none aspirates, the oldest tabu move is taken.
+    none aspirates, the oldest tabu move is taken. Returns the chosen
+    selection, the flipped item, and what the move adds to
+    ``tabu_blocked``, ``aspiration_accepts`` and ``all_tabu_fallbacks``.
+    Only the arguments are read, and nothing is written.
     """
     _, scores, ranked = hood
-    tabu_list = state.tabu_list
-    best = state.best_evaluation
     # An item may sit in the list twice; it is blocked, and counted, once.
     # A loop, not a set comprehension: on Python 3.11 that costs a function
     # call per move.
@@ -508,42 +503,36 @@ def select_move(state: SearchState, hood: Neighbourhood) -> tuple[CandidateSolut
     for k in tabu_list:
         if scores[k] <= best:
             blocked.add(k)
-    if blocked:
-        state.tabu_blocked += len(blocked)
+    aspired = fell_back = 0
     for best_k in ranked:
         if best_k not in blocked:
-            if best_k in tabu_list:
-                state.aspiration_accepts += 1
+            aspired = int(best_k in tabu_list)
             break
     else:
-        state.all_tabu_fallbacks += 1
+        fell_back = 1
         best_k = tabu_list[0]
-    flipped = list(state.current)
+    flipped = list(current)
     flipped[best_k] ^= 1
-    return tuple(flipped), best_k
+    return tuple(flipped), best_k, len(blocked), aspired, fell_back
 
 
-def escape(state: SearchState, rng: np.random.Generator) -> SearchState:
+def escape(
+    population: Population | StateVector,
+    best_solution: CandidateSolution,
+    rng: np.random.Generator,
+) -> tuple[CandidateSolution, bool]:
     """Perturb the population out of a stagnated region and resample.
 
     If the two leading bits of the best solution differ, entangle them with
     cx(0, 1); otherwise spread qubit 1 with h (qubit 0 when there is only
-    one item), in place. The current selection is replaced by a fresh draw
-    and the stagnation clock restarts (``clock_start`` becomes ``iteration``);
-    ``best_solution``, ``best_evaluation`` and ``best_iteration`` are kept.
+    one item), in place. Returns a fresh draw from the perturbed population
+    and whether the gate was cx; nothing else is read or written.
     """
-    bits = state.best_solution
-    if len(bits) >= 2 and bits[0] != bits[1]:
-        op = _ESCAPE_CX
-        state.escapes_cx += 1
-    else:
-        op = _ESCAPE_H[len(bits) >= 2]
-        state.escapes_h += 1
-    population = _as_population(state.population)
-    population.apply(op)
-    state.current = sample_candidate(population, rng)
-    state.clock_start = state.iteration
-    return state
+    wide = len(best_solution) >= 2
+    entangled = wide and best_solution[0] != best_solution[1]
+    population = _as_population(population)
+    population.apply(_ESCAPE_CX if entangled else _ESCAPE_H[wide])
+    return sample_candidate(population, rng), entangled
 
 
 def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> SearchResult:
@@ -564,8 +553,9 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     occur: ``KnapsackInstance`` bounds every value and flip score to a
     finite float.
 
-    ``state.current`` and ``state.iteration`` are brought up to date before
-    each ``select_move`` or ``escape`` call.
+    The run lives in locals, and ``select_move`` and ``escape`` are handed
+    all they read: the neighbourhood, selection, tabu list and best, or the
+    population, best selection and generator.
     """
     if config is None:
         config = SearchConfig()
@@ -588,7 +578,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         cache, moves = {}, {}
     population = init_population(n, config.population_mode)
     rng = np.random.default_rng(config.seed)
-    current = sample_candidate(population, rng)
+    current = best_solution = sample_candidate(population, rng)
     lookup = cache.get
     recall = moves.get
 
@@ -601,26 +591,17 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
 
     hood = lookup(current) or score(current)
     best = hood[0]
+    best_iteration = 0
     tenure = config.tenure(n)
-    state = SearchState(
-        population=population,
-        current=current,
-        best_solution=current,
-        best_evaluation=best,
-        best_iteration=0,
-        iteration=0,
-        tabu_list=deque(maxlen=tenure),
-    )
-    tabu_list = state.tabu_list
+    tabu_list: deque[int] = deque(maxlen=tenure)
     push = tabu_list.append
     trace: list[tuple[int, float, float]] = []
     record = trace.append
     limit = config.stagnation_limit
-    # The stagnation clock runs out after iteration clock_start + limit.
+    # The stagnation clock restarts at each improvement and each escape,
+    # and runs out after that iteration plus the limit.
     escape_after = limit
-    # Replayed moves add their counter increments here, and to the state
-    # once the run ends.
-    blocked_total = aspired_total = fell_back_total = 0
+    escapes_cx = escapes_h = blocked_total = aspired_total = fell_back_total = 0
     # The memo maps (best, tenure, current, *tabu_list) to the move from
     # there, a list: chosen, flipped, the chosen selection's neighbourhood,
     # the tabu_blocked, aspiration_accepts and all_tabu_fallbacks it added,
@@ -631,62 +612,49 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     move = last = None
     for iteration in range(1, config.max_iterations + 1):
         if iteration > escape_after:
-            state.current, state.iteration = current, iteration
-            escape(state, rng)
-            escape_after = state.clock_start + limit
-            current = state.current
+            current, entangled = escape(population, best_solution, rng)
+            if entangled:
+                escapes_cx += 1
+            else:
+                escapes_h += 1
+            escape_after = iteration + limit
             hood = lookup(current) or score(current)
             move = last = None
         if move is None:
             key = (best, tenure, current, *tabu_list)
             move = recall(key)
-            if move is not None and last is not None:
+            if move is None:
+                chosen, flipped, *counts = select_move(hood, current, tabu_list, best)
+                move = [chosen, flipped, lookup(chosen) or score(chosen), *counts, None]
+                if len(moves) < room:
+                    moves[key] = move
+                else:
+                    last = None  # link only to an entry the memo holds
+            if last is not None:
                 last[-1] = move
-        if move is None:
-            state.current, state.iteration = current, iteration
-            before = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
-            chosen, flipped = select_move(state, hood)
-            hood = lookup(chosen) or score(chosen)
-            push(flipped)
-            move = [
-                chosen,
-                flipped,
-                hood,
-                state.tabu_blocked - before[0],
-                state.aspiration_accepts - before[1],
-                state.all_tabu_fallbacks - before[2],
-                None,
-            ]
-            if len(moves) < room:
-                moves[key] = move
-                if last is not None:
-                    last[-1] = move
-            link = None
-        else:
-            chosen, flipped, hood, blocked, aspired, fell_back, link = move
-            push(flipped)
-            blocked_total += blocked
-            aspired_total += aspired
-            fell_back_total += fell_back
+        chosen, flipped, hood, blocked, aspired, fell_back, link = move
+        push(flipped)
+        blocked_total += blocked
+        aspired_total += aspired
+        fell_back_total += fell_back
         last = move
         current = chosen
         current_eval = hood[0]
         if current_eval > best:
-            best = state.best_evaluation = current_eval
-            state.best_solution = chosen
-            state.best_iteration = state.clock_start = iteration
+            best, best_solution, best_iteration = current_eval, chosen, iteration
             escape_after = iteration + limit
             link = last = None
         move = link
         record((iteration, current_eval, best))
-    state.tabu_blocked += blocked_total
-    state.aspiration_accepts += aspired_total
-    state.all_tabu_fallbacks += fell_back_total
     return SearchResult(
-        best_solution=state.best_solution,
+        best_solution=best_solution,
         best_evaluation=best,
-        best_iteration=state.best_iteration,
+        best_iteration=best_iteration,
         iterations_run=config.max_iterations,
         trace=trace,
-        **{name: getattr(state, name) for name in _COUNTERS},
+        escapes_cx=escapes_cx,
+        escapes_h=escapes_h,
+        tabu_blocked=blocked_total,
+        aspiration_accepts=aspired_total,
+        all_tabu_fallbacks=fell_back_total,
     )

@@ -47,7 +47,6 @@ from qtabu.statevector import (
 from qtabu.tabu import (
     KnapsackInstance,
     SearchConfig,
-    SearchState,
     escape,
     qts_run,
     sample_candidate,
@@ -177,20 +176,6 @@ def test_criterion_5_engine_optimality():
         assert optimal_runs >= 0.9 * total_runs, f"only {optimal_runs}/1000 optimal"
 
 
-def _stagnant_state(population: StateVector, best: tuple[int, ...]) -> SearchState:
-    from collections import deque
-
-    return SearchState(
-        population=population,
-        current=best,
-        best_solution=best,
-        best_evaluation=1.0,
-        best_iteration=0,
-        iteration=25,
-        tabu_list=deque(maxlen=4),
-    )
-
-
 def test_criterion_6_escape_semantics():
     with criterion(6, "escape-semantics", 5.0):
         draws = 10_000
@@ -198,16 +183,15 @@ def test_criterion_6_escape_semantics():
         # Entangling branch: product population, best bits 0 and 1 differ.
         population = zero_state(2)
         apply_gate(population, GateOp(Gate.H, 0))
-        state = _stagnant_state(population, best=(1, 0))
         rng = np.random.default_rng(6)
-        escape(state, rng)
-        samples = [sample_candidate(state.population, rng) for _ in range(draws)]
+        assert escape(population, (1, 0), rng)[1]
+        samples = [sample_candidate(population, rng) for _ in range(draws)]
         assert all(bits[0] == bits[1] for bits in samples)
 
         # Spreading branch: basis population, best bits 0 and 1 equal.
-        state = _stagnant_state(zero_state(2), best=(0, 0))
-        escape(state, rng)
-        samples = [sample_candidate(state.population, rng) for _ in range(draws)]
+        population = zero_state(2)
+        assert not escape(population, (0, 0), rng)[1]
+        samples = [sample_candidate(population, rng) for _ in range(draws)]
         ones = sum(bits[1] for bits in samples)
         sigma = np.sqrt(draws * 0.25)
         assert abs(ones - draws / 2) < 3 * sigma

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 import struct
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -71,6 +73,11 @@ def test_problem_validation():
         MapSearchProblem(circuit, ((0, 1), (0, 1)))
     with pytest.raises(ValueError, match="edge_budget"):
         MapSearchProblem(circuit, ((0, 1),), edge_budget=-1)
+    for budget in (float("nan"), 2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"edge_budget must be an integer, got {budget!r}")):
+            MapSearchProblem(circuit, ((0, 1),), edge_budget=budget)
+    budget = MapSearchProblem(circuit, ((0, 1),), edge_budget=np.int64(3)).edge_budget
+    assert type(budget) is int and budget == 3
     pairs = all_directed_pairs(65)
     MapSearchProblem(circuit, pairs[:MAX_CANDIDATE_EDGES])
     with pytest.raises(ValueError, match="4097 candidate edges exceed the limit of 4096"):
@@ -297,9 +304,43 @@ def test_search_best_map_maps_the_pruned_run_back(problem, seed):
     assert all(bit == 0 for bit, profit in zip(bits, instance.profits) if profit == 0.0)
     as_bytes = struct.Struct("<d").pack
     assert as_bytes(result.score) == as_bytes(fitness(instance, bits))
-    assert result.score <= brute_force_knapsack_max(
+    assert 0.0 <= result.score <= brute_force_knapsack_max(
         instance.profits, instance.weights, instance.max_capacity
     )
+    assert len(result.map.edges) <= problem.edge_budget
+
+
+def test_a_run_that_ends_over_the_budget_returns_the_empty_map():
+    """Teleport over the 20 directed pairs of 5 qubits at budget 1, with one
+    iteration: 72 of 200 seeds end on a selection of more than one edge,
+    17 of them below 0.0. Such a selection scores at most the empty map's
+    0.0, so the empty map is returned, with best iteration 0 and the run's
+    trace and counters."""
+    problem = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=1)
+    engine = problem._derived[2]
+    replaced = negative = 0
+    for seed in range(200):
+        config = SearchConfig(max_iterations=1, seed=seed)
+        result = search_best_map(problem, config)
+        run = qts_run(engine, config)
+        assert len(result.map.edges) <= 1
+        if sum(run.best_solution) > 1:
+            replaced += 1
+            negative += run.best_evaluation < 0.0
+            assert result.map.edges == ()
+            assert repr(result.score) == repr(result.search.best_evaluation) == "0.0"
+            assert not any(result.search.best_solution)
+            assert result.search.best_iteration == 0
+            expected = replace(
+                run,
+                best_solution=result.search.best_solution,
+                best_evaluation=0.0,
+                best_iteration=0,
+            )
+            assert repr(result.search) == repr(expected)
+        else:
+            assert result.score == run.best_evaluation >= 0.0
+    assert (replaced, negative) == (72, 17)
 
 
 def test_search_best_map_is_deterministic():
@@ -354,10 +395,10 @@ def test_searches_of_one_problem_share_their_moves():
     calls = 0
     select_move = tabu.select_move
 
-    def counted_move(state, hood):
+    def counted_move(*args):
         nonlocal calls
         calls += 1
-        return select_move(state, hood)
+        return select_move(*args)
 
     with mock.patch.object(tabu, "select_move", counted_move):
         shared = [search_best_map(problem, config) for config in configs]

@@ -28,7 +28,7 @@ import oracles
 from qtabu import mapsearch, tabu
 from qtabu.mapsearch import MapSearchProblem, all_directed_pairs, load_teleport, search_best_map
 from qtabu.statevector import Gate, GateOp, apply_gate, normalized_cdf, zero_state
-from qtabu.tabu import KnapsackInstance, SearchConfig, SearchState, fitness, init_population
+from qtabu.tabu import KnapsackInstance, SearchConfig, fitness
 
 MODES = ("with_replacement", "without_replacement")
 
@@ -54,21 +54,15 @@ def test_select_move_matches_vectorised_oracle_past_20_items(data):
     _check_move_against_oracle(data, data.draw(fractional_instances(128, min_items=21)))
 
 
-def _state(current: tuple[int, ...], tabu_list: list[int], best_evaluation: float) -> SearchState:
-    return SearchState(
-        population=init_population(len(current)),
-        current=current,
-        best_solution=current,
-        best_evaluation=best_evaluation,
-        best_iteration=0,
-        iteration=1,
-        tabu_list=deque(tabu_list),
-    )
+def _move(instance: KnapsackInstance, current, tabu_list, best_evaluation):
+    """``select_move`` from ``current`` under ``tabu_list`` and the best."""
+    hood = tabu._neighbourhood(instance, current)
+    return tabu.select_move(hood, current, deque(tabu_list), best_evaluation)
 
 
 def _check_move_against_oracle(data, instance: KnapsackInstance) -> None:
     """One move from a drawn selection, tabu list and best, against the
-    oracle's move and the counters it implies."""
+    oracle's move and the counter increments it implies."""
     n = instance.n_items
     args = (instance.profits, instance.weights, instance.max_capacity)
     current = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
@@ -82,16 +76,12 @@ def _check_move_against_oracle(data, instance: KnapsackInstance) -> None:
         best_evaluation = data.draw(st.floats(-1000.0, 600.0))
     else:
         best_evaluation = float(scores[pinned])
-    state = _state(current, tabu_list, best_evaluation)
+    chosen, flipped, *counts = _move(instance, current, tabu_list, best_evaluation)
 
-    move = tabu.select_move(state, tabu._neighbourhood(instance, current))
-
-    assert move == oracles.select_move(*args, current, tabu_list, best_evaluation)
+    assert (chosen, flipped) == oracles.select_move(*args, current, tabu_list, best_evaluation)
     live = set(tabu_list)
     blocked = sum(1 for k in live if scores[k] <= best_evaluation)
-    assert state.tabu_blocked == blocked
-    assert state.all_tabu_fallbacks == int(blocked == n)
-    assert state.aspiration_accepts == int(blocked < n and move[1] in live)
+    assert counts == [blocked, int(blocked < n and flipped in live), int(blocked == n)]
 
 
 def test_an_item_twice_in_the_tabu_list_counts_once():
@@ -107,9 +97,7 @@ def test_an_item_twice_in_the_tabu_list_counts_once():
         ([1, 0, 1, 2, 0], 10.0, ((0, 1, 0), 1), (3, 0, 1)),
     ]
     for tabu_list, best, move, counters in cases:
-        state = _state(current, tabu_list, best)
-        assert tabu.select_move(state, tabu._neighbourhood(instance, current)) == move
-        assert (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks) == counters
+        assert _move(instance, current, tabu_list, best) == move + counters
         assert move == oracles.select_move(
             instance.profits, instance.weights, instance.max_capacity, current, tabu_list, best
         )
@@ -125,10 +113,9 @@ def _recorded_run(instance: KnapsackInstance, config: SearchConfig):
     select_move = tabu.select_move
     apply = tabu.Population.apply
 
-    def record_move(state, *args):
-        before = state.current
-        move = select_move(state, *args)
-        moves.append((before, move[0]))
+    def record_move(hood, current, *args):
+        move = select_move(hood, current, *args)
+        moves.append((current, move[0]))
         return move
 
     def record_gate(population, op):
@@ -240,13 +227,12 @@ def test_tenure_holds_over_whole_runs():
                 )
                 moves = []
 
-                def record_move(state, *rest):
-                    score = oracles.flip_scores(*args, state.current)
-                    best = state.best_evaluation
-                    before = (state.aspiration_accepts, state.all_tabu_fallbacks)
-                    move = select_move(state, *rest)
-                    after = (state.aspiration_accepts, state.all_tabu_fallbacks)
-                    moves.append((state.iteration, move[1], score[move[1]] > best, before, after))
+                def record_move(hood, current, tabu_list, best):
+                    score = oracles.flip_scores(*args, current)
+                    move = select_move(hood, current, tabu_list, best)
+                    # With no room in the cache, one call per iteration.
+                    iteration = len(moves) + 1
+                    moves.append((iteration, move[1], score[move[1]] > best, move[3:]))
                     return move
 
                 with (
@@ -255,13 +241,14 @@ def test_tenure_holds_over_whole_runs():
                 ):
                     observed = tabu.qts_run(instance, config)
                 assert repr(observed) == repr(tabu.qts_run(instance, config))
+                assert len(moves) == config.max_iterations
                 expiry = tenure if tenure is not None else max(2, n // 4)
                 last_flip: dict[int, int] = {}
-                for iteration, item, beats_best, (aspired, fell_back), after in moves:
+                for iteration, item, beats_best, added in moves:
                     if item in last_flip and iteration <= last_flip[item] + expiry:
                         reflips += 1
-                        aspiration = beats_best and after == (aspired + 1, fell_back)
-                        assert aspiration or after == (aspired, fell_back + 1), (n, mode, iteration)
+                        aspiration = beats_best and added == (1, 0)
+                        assert aspiration or added == (0, 1), (n, mode, iteration)
                     last_flip[item] = iteration
     assert reflips > 0
 
@@ -299,22 +286,15 @@ def test_every_move_of_a_run_matches_the_oracle(instance, seed, mode, stagnation
     select_move = tabu.select_move
     moves = 0
 
-    def checked_move(state, *rest):
+    def checked_move(hood, current, tabu_list, best):
         nonlocal moves
-        current, tabu_list, best = state.current, list(state.tabu_list), state.best_evaluation
-        before = (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks)
-        move = select_move(state, *rest)
-        assert move == oracles.select_move(*args, current, tabu_list, best)
+        move = select_move(hood, current, tabu_list, best)
+        assert move[:2] == oracles.select_move(*args, current, list(tabu_list), best)
         scores = oracles.flip_scores(*args, current)
         live = set(tabu_list)
         blocked = sum(1 for k in live if scores[k] <= best)
         fallback = blocked == instance.n_items
-        expected = (
-            before[0] + blocked,
-            before[1] + int(not fallback and move[1] in live),
-            before[2] + int(fallback),
-        )
-        assert (state.tabu_blocked, state.aspiration_accepts, state.all_tabu_fallbacks) == expected
+        assert move[2:] == (blocked, int(not fallback and move[1] in live), int(fallback))
         moves += 1
         return move
 
@@ -364,8 +344,8 @@ def _scored_run(instance: KnapsackInstance, config: SearchConfig):
         scored.append(bits)
         return neighbourhood(instance, bits)
 
-    def record_move(state, *rest):
-        move = select_move(state, *rest)
+    def record_move(*args):
+        move = select_move(*args)
         looked_up.append(move[0])
         return move
 
@@ -445,10 +425,9 @@ def _counted_run(instance: KnapsackInstance, config: SearchConfig):
     calls: list[tuple[int, int]] = []
     select_move = tabu.select_move
 
-    def counted_move(state, *rest):
-        before = (state.tabu_blocked, state.all_tabu_fallbacks)
-        move = select_move(state, *rest)
-        calls.append((state.tabu_blocked - before[0], state.all_tabu_fallbacks - before[1]))
+    def counted_move(*args):
+        move = select_move(*args)
+        calls.append((move[2], move[4]))
         return move
 
     with mock.patch.object(tabu, "select_move", counted_move):
@@ -489,9 +468,9 @@ def test_a_run_past_the_memos_room_is_identical():
     states: dict[float, set] = {}
     select_move = tabu.select_move
 
-    def record_state(state, *rest):
-        states.setdefault(state.best_evaluation, set()).add((state.current, *state.tabu_list))
-        return select_move(state, *rest)
+    def record_state(hood, current, tabu_list, best):
+        states.setdefault(best, set()).add((current, *tabu_list))
+        return select_move(hood, current, tabu_list, best)
 
     with (
         mock.patch.object(tabu, "CACHE_SCORES", 0),
@@ -692,20 +671,12 @@ def test_every_memo_entry_is_the_move_from_its_key():
         assert memo
         links = 0
         for (best, tenure, current, *items), move in memo.items():
-            state = _state(current, items, best)
-            chosen, flipped = tabu.select_move(state, tabu._neighbourhood(instance, current))
+            chosen, flipped, *counts = _move(instance, current, items, best)
             after = deque(items, maxlen=tenure)
             after.append(flipped)
             next_key = (best, tenure, chosen, *after)
             *fields, link = move
-            assert fields == [
-                chosen,
-                flipped,
-                tabu._neighbourhood(instance, chosen),
-                state.tabu_blocked,
-                state.aspiration_accepts,
-                state.all_tabu_fallbacks,
-            ]
+            assert fields == [chosen, flipped, tabu._neighbourhood(instance, chosen), *counts]
             if link is not None:
                 assert link is memo[next_key]
                 links += 1

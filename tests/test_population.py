@@ -11,7 +11,6 @@ checked against a fresh ``apply_gate`` on a copy.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from qtabu.tabu import (
     KnapsackInstance,
     Population,
     SearchConfig,
-    SearchState,
     escape,
     init_population,
     qts_run,
@@ -325,8 +323,7 @@ def test_normalized_cdf_equals_the_kernel_cdf_on_every_reachable_head(mode):
 
 def test_an_escape_on_a_dense_state_builds_two_cdfs(monkeypatch):
     """One for the state as it stands and one for the stepped state, which
-    the draw then reads; the state is stepped in place and stays the
-    population."""
+    the draw then reads; the state's own array is stepped in place."""
     state = dense_population(10, "with_replacement")
     calls = []
 
@@ -336,20 +333,13 @@ def test_an_escape_on_a_dense_state_builds_two_cdfs(monkeypatch):
 
     monkeypatch.setattr(tabu, "normalized_cdf", counted)
     expected = apply_gate(state.copy(), GateOp(Gate.CX, 1, control=0))
-    search = SearchState(
-        population=state,
-        current=(0,) * 10,
-        best_solution=(1,) + (0,) * 9,
-        best_evaluation=0.0,
-        best_iteration=0,
-        iteration=21,
-        tabu_list=deque(maxlen=2),
-    )
-    escape(search, np.random.default_rng(18))
+    amplitudes = state.amplitudes
+    draw, entangled = escape(state, (1,) + (0,) * 9, np.random.default_rng(18))
     assert calls == [10, 10]
-    assert search.population is state
-    assert state.amplitudes.tobytes() == expected.amplitudes.tobytes()
-    assert search.current == dense_inverse_cdf(expected, np.random.default_rng(18).random())
+    assert entangled
+    assert state.amplitudes is amplitudes
+    assert amplitudes.tobytes() == expected.amplitudes.tobytes()
+    assert draw == dense_inverse_cdf(expected, np.random.default_rng(18).random())
 
 
 def test_a_table_hit_writes_into_the_callers_state(steps):
@@ -378,17 +368,7 @@ def test_heads_the_table_cannot_key_skip_it(steps):
     for qubit in range(20):
         apply_gate(state, GateOp(Gate.H, qubit))
     expected = apply_gate(state.copy(), GateOp(Gate.CX, 1, control=0)).amplitudes.tobytes()
-    search = SearchState(
-        population=state,
-        current=(0,) * 20,
-        best_solution=(1,) + (0,) * 19,
-        best_evaluation=0.0,
-        best_iteration=0,
-        iteration=21,
-        tabu_list=deque(maxlen=5),
-    )
-    escape(search, np.random.default_rng(16))
-    assert search.population is state
+    assert escape(state, (1,) + (0,) * 19, np.random.default_rng(16))[1]
     assert state.amplitudes.tobytes() == expected
     assert len(steps) == 0
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import hashlib
 import tracemalloc
 
@@ -61,6 +62,13 @@ def test_coupling_map_invariants():
         CouplingMap(3, ((0, -1),))
     with pytest.raises(MapFormatError, match=r"edge \[-1, -1\] has a negative endpoint"):
         CouplingMap(3, ((-1, -1),))
+    for edge in ((1.5, 2), (0, 1.0), (True, 2), (0, False), ("1", 2), (None, 1)):
+        with pytest.raises(MapFormatError, match=re.escape(f"edge {list(edge)} is not a pair")):
+            CouplingMap(3, ((0, 1), edge))
+    with pytest.raises(MapFormatError, match=r"edge \[1\.5, 2\] is not a pair of integers"):
+        route(load_teleport(), CouplingMap.spanning([(0, 1), (1.5, 2)]))
+    edges = tuple((np.int64(a), np.int32(b)) for a, b in ((0, 1), (1, 2)))
+    assert CouplingMap(3, edges).edges == ((0, 1), (1, 2))
 
 
 def test_coupling_map_reports_the_first_faulty_edge():

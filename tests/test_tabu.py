@@ -12,7 +12,6 @@ from qtabu.statevector import Gate, GateOp, apply_gate, zero_state
 from qtabu.tabu import (
     KnapsackInstance,
     SearchConfig,
-    SearchState,
     _neighbourhood,
     escape,
     fitness,
@@ -217,108 +216,90 @@ def test_sample_candidate_matches_probabilities_3sigma():
         assert abs(counts.get(bits, 0) - draws * p) <= 3 * sigma + 1e-9
 
 
-def _state_for_select(current, best_eval, tabu=()) -> SearchState:
-    return SearchState(
-        population=init_population(len(current)),
-        current=tuple(current),
-        best_solution=tuple(current),
-        best_evaluation=best_eval,
-        best_iteration=0,
-        iteration=1,
-        tabu_list=deque(tabu, maxlen=8),
-    )
-
-
-def _select(state: SearchState, inst: KnapsackInstance):
-    return select_move(state, _neighbourhood(inst, state.current))
+def _select(inst: KnapsackInstance, current, best_eval, tabu=()):
+    """The chosen selection and flipped item of one move from ``current``."""
+    current = tuple(current)
+    return select_move(_neighbourhood(inst, current), current, deque(tabu), best_eval)[:2]
 
 
 def test_select_move_picks_best_neighbor():
     inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=0.0)
-    chosen, flipped = _select(state, inst)
+    chosen, flipped = _select(inst, (0, 0), best_eval=0.0)
     assert (chosen, flipped) == ((0, 1), 1)
 
 
 def test_select_move_respects_tabu():
     inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=4.0, tabu=[1])
-    chosen, flipped = _select(state, inst)
+    chosen, flipped = _select(inst, (0, 0), best_eval=4.0, tabu=[1])
     assert (chosen, flipped) == ((1, 0), 0)
 
 
 def test_select_move_aspiration_overrides_tabu():
     inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=3.5, tabu=[1])
-    chosen, flipped = _select(state, inst)
+    chosen, flipped = _select(inst, (0, 0), best_eval=3.5, tabu=[1])
     assert (chosen, flipped) == ((0, 1), 1)  # 4.0 beats best 3.5 despite tabu
 
 
 def test_select_move_all_tabu_takes_oldest():
     inst = KnapsackInstance((3.0, 4.0), (2.0, 3.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=99.0, tabu=[1, 0])
-    chosen, flipped = _select(state, inst)
+    chosen, flipped = _select(inst, (0, 0), best_eval=99.0, tabu=[1, 0])
     assert flipped == 1  # oldest entry's item, not the better-scoring one
     assert chosen == (0, 1)
 
 
 def test_select_move_ties_break_low_index():
     inst = KnapsackInstance((4.0, 4.0), (1.0, 1.0), 5.0)
-    state = _state_for_select((0, 0), best_eval=0.0)
-    _, flipped = _select(state, inst)
+    _, flipped = _select(inst, (0, 0), best_eval=0.0)
     assert flipped == 0
 
 
+def test_select_move_changes_none_of_its_arguments():
+    """A move reads its neighbourhood and tabu list and writes neither, so a
+    second call on the same arguments gives the same move. Flip scores are
+    3.0, 4.0 and 2.0: under a best of 10.0 every listed item is blocked
+    (item 1 twice) and the move falls back; under 3.5 item 0 is blocked and
+    item 1 aspirates."""
+    inst = KnapsackInstance((3.0, 4.0, 2.0), (1.0, 1.0, 1.0), 10.0)
+    current = (0, 0, 0)
+    hood = _neighbourhood(inst, current)
+    for tabu_list, best in (([1, 1, 0, 2], 10.0), ([0, 1, 1], 3.5)):
+        tabu = deque(tabu_list, maxlen=4)
+        snapshot = (hood[0], list(hood[1]), list(hood[2]), list(tabu), tabu.maxlen)
+        first = select_move(hood, current, tabu, best)
+        assert (hood[0], hood[1], hood[2], list(tabu), tabu.maxlen) == snapshot
+        assert select_move(hood, current, tabu, best) == first
+        assert current == (0, 0, 0)
+
+
 def test_escape_cx_branch_entangles():
-    state = _state_for_select((0, 0), best_eval=0.0)
-    state.population = apply_gate(zero_state(2), GateOp(Gate.X, 0))  # |01>: bit0=1
-    state.best_solution = (1, 0)
-    state.best_evaluation = 5.0
-    state.iteration = 30
+    population = apply_gate(zero_state(2), GateOp(Gate.X, 0))  # |01>: bit0=1
     rng = np.random.default_rng(6)
-    returned = escape(state, rng)
-    assert returned is state
-    np.testing.assert_allclose(state.population.amplitudes, [0, 0, 0, 1], atol=1e-12)
-    assert state.current == (1, 1)
-    assert (state.clock_start, state.best_iteration) == (30, 0)
-    assert state.best_evaluation == 5.0  # untouched
-    assert state.best_solution == (1, 0)
+    draw, entangled = escape(population, (1, 0), rng)
+    assert entangled
+    np.testing.assert_allclose(population.amplitudes, [0, 0, 0, 1], atol=1e-12)
+    assert draw == (1, 1)
 
 
 def test_escape_h_branch_spreads_qubit_one():
-    state = _state_for_select((0, 0), best_eval=0.0)
-    state.population = zero_state(2)
-    state.best_solution = (1, 1)
-    state.iteration = 25
-    escape(state, np.random.default_rng(7))
-    np.testing.assert_allclose(
-        state.population.amplitudes, [2**-0.5, 0, 2**-0.5, 0], atol=1e-12
-    )
-    assert (state.clock_start, state.best_iteration) == (25, 0)
+    population = zero_state(2)
+    _, entangled = escape(population, (1, 1), np.random.default_rng(7))
+    assert not entangled
+    np.testing.assert_allclose(population.amplitudes, [2**-0.5, 0, 2**-0.5, 0], atol=1e-12)
 
 
 def test_escape_single_item_uses_only_qubit():
-    state = SearchState(
-        population=zero_state(1),
-        current=(0,),
-        best_solution=(0,),
-        best_evaluation=0.0,
-        best_iteration=0,
-        iteration=22,
-        tabu_list=deque(maxlen=2),
-    )
-    escape(state, np.random.default_rng(8))
-    np.testing.assert_allclose(state.population.amplitudes, [2**-0.5, 2**-0.5], atol=1e-12)
+    population = zero_state(1)
+    _, entangled = escape(population, (0,), np.random.default_rng(8))
+    assert not entangled
+    np.testing.assert_allclose(population.amplitudes, [2**-0.5, 2**-0.5], atol=1e-12)
 
 
 def test_escape_preserves_population_norm():
-    state = _state_for_select((0, 1, 1), best_eval=1.0)
+    population = init_population(3)
     rng = np.random.default_rng(9)
     for turn in range(200):
-        state.best_solution = (turn % 2, 0, 1)
-        state.iteration += 1
-        escape(state, rng)
-    norm = float(np.sum(np.abs(population_amplitudes(state.population)) ** 2))
+        escape(population, (turn % 2, 0, 1), rng)
+    norm = float(np.sum(np.abs(population_amplitudes(population)) ** 2))
     assert abs(norm - 1.0) < 1e-12
 
 

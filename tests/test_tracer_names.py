@@ -55,3 +55,45 @@ def test_each_run_prepares_its_population_through_the_module_attribute():
         with mock.patch.object(tabu, "CACHE_SCORES", 0):
             tabu.qts_run(instance, tabu.SearchConfig(max_iterations=40, seed=3))
     assert calls == [(3, "with_replacement")] * 4
+
+
+def test_each_move_and_escape_goes_through_the_module_attribute():
+    """``tabu.select_move`` and ``tabu.escape`` as the tracer patches them:
+    a run with no room in the cache picks every move through the first,
+    once per iteration, and every run reaches the second once per escape,
+    as ``tabu.escapes_per_run`` counts them."""
+    calls = {"select_move": 0, "escape": 0}
+
+    def counted(name):
+        original = getattr(tabu, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    instance = tabu.KnapsackInstance(
+        (3.0, 4.0, 2.5, 1.5, 5.0), (2.0, 3.0, 1.5, 1.0, 4.0), 6.0
+    )
+    gates = {"cx": 0, "h": 0}
+
+    def run(seed):
+        config = tabu.SearchConfig(max_iterations=60, stagnation_limit=3, seed=seed)
+        result = tabu.qts_run(instance, config)
+        gates["cx"] += result.escapes_cx
+        gates["h"] += result.escapes_h
+        assert calls["escape"] == gates["cx"] + gates["h"]
+        return config
+
+    with (
+        mock.patch.object(tabu, "select_move", counted("select_move")),
+        mock.patch.object(tabu, "escape", counted("escape")),
+    ):
+        for seed in range(4):
+            run(seed)
+        calls["select_move"] = 0
+        with mock.patch.object(tabu, "CACHE_SCORES", 0):
+            config = run(4)
+    assert calls["select_move"] == config.max_iterations
+    assert all(gates.values())
