@@ -506,7 +506,8 @@ def select_move(
     aspired = fell_back = 0
     for best_k in ranked:
         if best_k not in blocked:
-            aspired = int(best_k in tabu_list)
+            if best_k in tabu_list:
+                aspired = 1
             break
     else:
         fell_back = 1
@@ -601,7 +602,8 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     # The stagnation clock restarts at each improvement and each escape,
     # and runs out after that iteration plus the limit.
     escape_after = limit
-    escapes_cx = escapes_h = blocked_total = aspired_total = fell_back_total = 0
+    escapes = [0, 0]  # h escapes, then cx escapes
+    blocked_total = aspired_total = fell_back_total = 0
     # The memo maps (best, tenure, current, *tabu_list) to the move from
     # there, a list: chosen, flipped, the chosen selection's neighbourhood,
     # the tabu_blocked, aspiration_accepts and all_tabu_fallbacks it added,
@@ -613,10 +615,7 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
     for iteration in range(1, config.max_iterations + 1):
         if iteration > escape_after:
             current, entangled = escape(population, best_solution, rng)
-            if entangled:
-                escapes_cx += 1
-            else:
-                escapes_h += 1
+            escapes[entangled] += 1
             escape_after = iteration + limit
             hood = lookup(current) or score(current)
             move = last = None
@@ -624,8 +623,11 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
             key = (best, tenure, current, *tabu_list)
             move = recall(key)
             if move is None:
-                chosen, flipped, *counts = select_move(hood, current, tabu_list, best)
-                move = [chosen, flipped, lookup(chosen) or score(chosen), *counts, None]
+                chosen, flipped, blocked, aspired, fell_back = select_move(
+                    hood, current, tabu_list, best
+                )
+                hood = lookup(chosen) or score(chosen)
+                move = [chosen, flipped, hood, blocked, aspired, fell_back, None]
                 if len(moves) < room:
                     moves[key] = move
                 else:
@@ -652,8 +654,8 @@ def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> S
         best_iteration=best_iteration,
         iterations_run=config.max_iterations,
         trace=trace,
-        escapes_cx=escapes_cx,
-        escapes_h=escapes_h,
+        escapes_cx=escapes[1],
+        escapes_h=escapes[0],
         tabu_blocked=blocked_total,
         aspiration_accepts=aspired_total,
         all_tabu_fallbacks=fell_back_total,
