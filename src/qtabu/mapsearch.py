@@ -105,7 +105,8 @@ class MapSearchProblem:
                 f"{len(self.candidate_edges)} candidate edges exceed the limit of "
                 f"{MAX_CANDIDATE_EDGES}"
             )
-        # CouplingMap rejects negative endpoints, self-loops and duplicates.
+        # CouplingMap rejects non-integer and negative endpoints, self-loops
+        # and duplicates.
         CouplingMap.spanning(self.candidate_edges)
         # Stored as an ``int``, under the rule ``SearchConfig`` uses.
         object.__setattr__(self, "edge_budget", _integer("edge_budget", self.edge_budget))

@@ -7,8 +7,9 @@ the population itself is perturbed with a gate (an entangling cx or an h)
 before resampling. The tabu list is a window over the items of the last
 ``tenure`` moves, so a flipped item stays tabu for the next ``tenure`` moves.
 Both moves are plain functions of their arguments: ``select_move`` writes
-nothing and ``escape`` writes only the population, while ``qts_run`` keeps
-the run (selection, best, tabu list, clock and counters) in its locals.
+nothing and ``escape`` changes only the population and the generator it
+draws from, while ``qts_run`` keeps the run (selection, best, tabu list,
+clock and counters) in its locals.
 
 Those gates only ever act on qubits 0 and 1, so every other qubit keeps its
 prepared ``|+>`` or Bell-pair half for the whole run (the Q-bit individual
@@ -527,7 +528,7 @@ def escape(
     If the two leading bits of the best solution differ, entangle them with
     cx(0, 1); otherwise spread qubit 1 with h (qubit 0 when there is only
     one item), in place. Returns a fresh draw from the perturbed population
-    and whether the gate was cx; nothing else is read or written.
+    and whether the gate was cx; only the population and ``rng`` change.
     """
     wide = len(best_solution) >= 2
     entangled = wide and best_solution[0] != best_solution[1]
