@@ -44,7 +44,7 @@ physical qubits); ``MAX_CANDIDATE_EDGES`` bounds the candidate list.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Sequence
@@ -193,16 +193,17 @@ class ScoredMap:
 def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = None) -> ScoredMap:
     """Run the tabu engine over edge selections and score the winner.
 
-    The engine sees only the profit-bearing edges (module docstring); the
-    result's ``best_solution`` has one bit per candidate, 0 on every other
-    edge, and its trace and counters are the run's. A run that ends over
-    the budget scores at most 0.0, so the empty selection is returned in
+    The engine sees only the profit-bearing edges (module docstring). Its
+    run returns a fresh ``SearchResult``, which is updated in place: the
+    ``best_solution`` is mapped back to one bit per candidate, 0 on every
+    other edge, and the trace and counters stay the run's. A run that ends
+    over the budget scores at most 0.0, so the empty selection is put in
     its place, with best evaluation 0.0 and best iteration 0. With no
     profit-bearing edge, or a budget of 0, the empty selection is optimal
-    and no search runs. The reported
-    score is bit for bit ``fitness`` of the returned selection over
-    ``derive_knapsack(problem)``. Routing the circuit on the winning map can
-    fail (for example with a budget of zero); the report is then None.
+    and no search runs. The reported score is bit for bit ``fitness`` of
+    the returned selection over ``derive_knapsack(problem)``. Routing the
+    circuit on the winning map can fail (for example with a budget of
+    zero); the report is then None.
 
     Both instances are derived once per problem, on its first search, so
     the searches of one problem (one per seed, or per ``search-map`` run)
@@ -216,11 +217,9 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
         if sum(result.best_solution) <= problem.edge_budget:
             for k, bit in zip(kept, result.best_solution):
                 bits[k] = bit
-            result = replace(result, best_solution=tuple(bits))
         else:
-            result = replace(
-                result, best_solution=tuple(bits), best_evaluation=0.0, best_iteration=0
-            )
+            result.best_evaluation, result.best_iteration = 0.0, 0
+        result.best_solution = tuple(bits)
     else:
         result = SearchResult(
             best_solution=tuple(bits),

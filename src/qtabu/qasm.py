@@ -245,7 +245,9 @@ def compact(program: Program) -> tuple[Program, tuple[int, ...]]:
     state is computed by the same arithmetic as the matching amplitude of
     the full state; the dropped qubits would only have stayed in |0>.
     Classical bits and conditions are untouched. A program that touches
-    every qubit comes back unchanged.
+    every qubit comes back unchanged, and an instruction whose qubits keep
+    their numbers (all of those below the first dropped qubit) is kept
+    itself; only renumbered ones are built anew.
     """
     touched = {qubit for ins in program.instructions for qubit in _qubits(ins)}
     used = tuple(sorted(touched)) or (0,)
@@ -255,9 +257,13 @@ def compact(program: Program) -> tuple[Program, tuple[int, ...]]:
 
     def relabel(ins: GateOp | MeasureOp) -> GateOp | MeasureOp:
         if isinstance(ins, MeasureOp):
-            return MeasureOp(new[ins.qubit], ins.cbit)
+            qubit = new[ins.qubit]
+            return ins if qubit == ins.qubit else MeasureOp(qubit, ins.cbit)
+        target = new[ins.target]
         control = None if ins.control is None else new[ins.control]
-        return GateOp(ins.kind, new[ins.target], control, ins.condition)
+        if target == ins.target and control == ins.control:
+            return ins
+        return GateOp(ins.kind, target, control, ins.condition)
 
     return Program(len(used), program.n_cbits, list(map(relabel, program.instructions))), used
 

@@ -63,8 +63,12 @@ class CouplingMap:
     @classmethod
     def spanning(cls, edges: Sequence[tuple[int, int]], n_physical: int = 0) -> CouplingMap:
         """The map over ``edges``, ``n_physical`` qubits wide or one past the
-        highest endpoint, whichever is more."""
-        return cls(max(n_physical, 1 + max(map(max, edges), default=-1)), tuple(edges))
+        highest endpoint, whichever is more.
+
+        The width reads only integer endpoints, so ``__post_init__`` reports
+        any other as the first faulty edge instead of ``max`` failing on it."""
+        highest = max((q for edge in edges for q in edge if _is_integer(q)), default=-1)
+        return cls(max(n_physical, 1 + highest), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,10 @@ def parse_coupling_map(text: str) -> CouplingMap:
         raise MapFormatError("coupling map must be a list of [control, target] pairs")
     edges: list[tuple[int, int]] = []
     for item in data:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(map(_is_integer, item))
-        ):
+        if not isinstance(item, list) or len(item) != 2:
             raise MapFormatError(f"edge {item!r} is not a pair of integers")
         edges.append((item[0], item[1]))
+    # CouplingMap checks the endpoints.
     return CouplingMap.spanning(edges)
 
 
@@ -155,7 +156,12 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
 
     With ``cmap=None`` the program is returned unchanged and every cx counts
     as direct. Otherwise the routed program spans all physical qubits and
-    measurements follow their logical qubit through swaps.
+    measurements follow their logical qubit through swaps. Instructions
+    are frozen, so the routed program holds the input's own instruction
+    wherever the layout and the cx's orientation leave it as it is; only
+    moved qubits, reversed cx and swaps get new ones. The map's undirected
+    adjacency is built when the first cx off the map needs a path, so a
+    program whose cx all sit on edges never builds it.
     """
     if cmap is None:
         n_cx = len(cx_pairs(program))
@@ -165,7 +171,7 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
             f"program uses {program.n_qubits} qubits, map has {cmap.n_physical}"
         )
     edges = set(cmap.edges)
-    adjacency = _undirected_adjacency(cmap)
+    adjacency: dict[int, list[int]] | None = None
     out: list[GateOp | MeasureOp] = []
     # How many original cx gates landed direct and reversed.
     counts = {"direct": 0, "reversed": 0}
@@ -175,11 +181,15 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
     l2p = list(range(program.n_qubits))
     p2l = {i: i for i in range(program.n_qubits)}
 
-    def emit_cx(control: int, target: int, condition: tuple[int, int] | None) -> str:
-        """Emit a cx between adjacent physical qubits, reversing if needed."""
+    def emit_cx(control: int, target: int, ins: GateOp | None = None) -> str:
+        """Emit a cx between adjacent physical qubits, reversing if needed;
+        the original cx ``ins`` is emitted itself when it lands as written."""
+        condition = None if ins is None else ins.condition
         kind = _orientation(edges, control, target)
         if kind == "direct":
-            out.append(GateOp(Gate.CX, target, control=control, condition=condition))
+            if ins is None or (ins.control, ins.target) != (control, target):
+                ins = GateOp(Gate.CX, target, control=control, condition=condition)
+            out.append(ins)
             return kind
         assert kind == "reversed"
         hadamards = [GateOp(Gate.H, qubit, condition=condition) for qubit in (control, target)]
@@ -189,15 +199,21 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
 
     for ins in program.instructions:
         if isinstance(ins, MeasureOp):
-            out.append(MeasureOp(l2p[ins.qubit], ins.cbit))
+            qubit = l2p[ins.qubit]
+            out.append(ins if qubit == ins.qubit else MeasureOp(qubit, ins.cbit))
             continue
         if ins.kind is not Gate.CX:
-            out.append(GateOp(ins.kind, l2p[ins.target], condition=ins.condition))
+            target = l2p[ins.target]
+            if target != ins.target:
+                ins = GateOp(ins.kind, target, condition=ins.condition)
+            out.append(ins)
             continue
         assert ins.control is not None
         control = l2p[ins.control]
         target = l2p[ins.target]
         if _orientation(edges, control, target) is None:
+            if adjacency is None:
+                adjacency = _undirected_adjacency(cmap)
             path = _shortest_path(adjacency, control, target)
             if path is None:
                 raise RoutingError(
@@ -207,7 +223,7 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
             # The control carries wire ins.control; the hop may be an ancilla.
             for hop in path[1:-1]:
                 for a, b in ((control, hop), (hop, control), (control, hop)):
-                    emit_cx(a, b, None)
+                    emit_cx(a, b)
                 swaps += 1
                 other = p2l.pop(hop, None)
                 p2l[hop] = p2l.pop(control)
@@ -215,7 +231,7 @@ def route(program: Program, cmap: CouplingMap | None) -> tuple[Program, RoutingR
                 if other is not None:
                     p2l[control], l2p[other] = other, control
                 control = hop
-        counts[emit_cx(control, target, ins.condition)] += 1
+        counts[emit_cx(control, target, ins)] += 1
     inserted = len(out) - len(program.instructions)
     report = RoutingReport(counts["direct"], counts["reversed"], swaps, inserted, tuple(l2p))
     return Program(cmap.n_physical, program.n_cbits, out), report

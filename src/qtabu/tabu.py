@@ -73,7 +73,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 from operator import itemgetter
@@ -384,10 +384,6 @@ class EngineCounters:
     tabu_blocked: int = 0  # tabu neighbours skipped for not beating the best
     aspiration_accepts: int = 0  # tabu moves taken because they beat the best
     all_tabu_fallbacks: int = 0  # selections that took the oldest tabu move
-
-
-# The counters' names, in field order.
-_COUNTERS = tuple(counter.name for counter in fields(EngineCounters))
 
 
 @dataclass

@@ -25,6 +25,7 @@ CHANGES.md.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import platform
@@ -37,7 +38,7 @@ import pytest
 
 import qtabu
 from qtabu.mapsearch import MapSearchProblem, all_directed_pairs, load_teleport, search_best_map
-from qtabu.tabu import _COUNTERS, KnapsackInstance, SearchConfig, qts_run
+from qtabu.tabu import EngineCounters, KnapsackInstance, SearchConfig, qts_run
 
 MAP_SEARCH_DIGEST = "b26f1327d302ff43cbcd05cbb062a0525012b9d8056543ea7e66886d0b1b7b6f"
 KNAPSACK_DIGEST = "fd0788c4b0e5445ff3685b09faa9b652a029a810ec7efb9bdcbe64eca6bb7616"
@@ -127,9 +128,10 @@ def test_best_selections_and_traces_match_golden():
 def test_engine_counters_match_golden():
     runs = _map_search_runs()
     runs += _knapsack_runs(_knapsack_instances()) + _knapsack_runs(_wide_knapsack_instances())
+    names = [counter.name for counter in dataclasses.fields(EngineCounters)]
     digest = hashlib.sha256()
     for result in runs:
-        digest.update(repr(tuple(getattr(result, name) for name in _COUNTERS)).encode())
+        digest.update(repr(tuple(getattr(result, name) for name in names)).encode())
     assert digest.hexdigest() == COUNTERS_DIGEST
 
 

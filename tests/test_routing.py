@@ -4,6 +4,7 @@ import dataclasses
 import re
 import hashlib
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,8 +18,15 @@ from oracles import (
     random_connected_map,
     random_gate_program,
 )
-from qtabu.mapsearch import load_teleport, reference_map
-from qtabu.qasm import Program, parse, serialize
+from qtabu import routing
+from qtabu.mapsearch import (
+    MapSearchProblem,
+    all_directed_pairs,
+    load_teleport,
+    reference_map,
+    search_best_map,
+)
+from qtabu.qasm import Program, compact, parse, serialize
 from qtabu.routing import (
     CouplingMap,
     MapFormatError,
@@ -67,6 +75,12 @@ def test_coupling_map_invariants():
             CouplingMap(3, ((0, 1), edge))
     with pytest.raises(MapFormatError, match=r"edge \[1\.5, 2\] is not a pair of integers"):
         route(load_teleport(), CouplingMap.spanning([(0, 1), (1.5, 2)]))
+    # The width is worked out after the endpoints pass, not over a string.
+    message = re.escape("edge [0, '1'] is not a pair of integers")
+    with pytest.raises(MapFormatError, match=message):
+        CouplingMap.spanning([(0, "1")])
+    with pytest.raises(MapFormatError, match=message):
+        MapSearchProblem(load_teleport(), ((0, "1"),), 2)
     edges = tuple((np.int64(a), np.int32(b)) for a, b in ((0, 1), (1, 2)))
     assert CouplingMap(3, edges).edges == ((0, 1), (1, 2))
 
@@ -203,6 +217,79 @@ def test_route_memory_follows_the_edges_not_the_highest_endpoint():
         assert report.direct_count == 2
         assert report.swap_count == swap_count
         assert report.final_layout == final_layout
+
+
+def _counting_adjacency(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Patch ``routing._undirected_adjacency`` to count its calls."""
+    calls = [0]
+    build = routing._undirected_adjacency
+
+    def counted(cmap: CouplingMap) -> dict[int, list[int]]:
+        calls[0] += 1
+        return build(cmap)
+
+    monkeypatch.setattr(routing, "_undirected_adjacency", counted)
+    return calls
+
+
+def test_route_builds_the_adjacency_only_for_a_path(monkeypatch):
+    calls = _counting_adjacency(monkeypatch)
+    text = resources.files("qtabu").joinpath("assets/sample_16q_map.txt").read_text()
+    route(load_teleport(), parse_coupling_map(text))
+    assert calls == [0]
+    problem = MapSearchProblem(load_teleport(), all_directed_pairs(5))
+    assert search_best_map(problem).routing is not None
+    assert calls == [0]
+    # Two cx off the line 0-1-2-3, one swap each: one adjacency for both.
+    program = parse("qreg q[4]; creg c[0]; cx q[0],q[2]; cx q[0],q[3];")
+    _, report = route(program, CouplingMap(4, ((0, 1), (1, 2), (2, 3))))
+    assert report.swap_count == 2
+    assert calls == [1]
+
+
+def test_route_keeps_the_instructions_it_leaves_in_place():
+    program = load_teleport()
+    routed, _ = route(program, reference_map("ref1"))
+    assert all(a is b for a, b in zip(routed.instructions, program.instructions, strict=True))
+    program = parse(
+        "qreg q[4]; creg c[2];"
+        "h q[3];"  # 0: kept
+        "cx q[1],q[2];"  # 1: kept, direct on (1, 2)
+        "cx q[2],q[1];"  # 2: reversed, new h/cx/h
+        "cx q[0],q[2];"  # 3: swaps logical 0 and 1, then a new cx 1 -> 2
+        "h q[0];"  # 4: logical 0 now on 1, new
+        "h q[3];"  # 5: kept
+        "measure q[1] -> c[0];"  # 6: logical 1 now on 0, new
+        "measure q[3] -> c[1];"  # 7: kept
+    )
+    routed, report = route(program, CouplingMap(4, ((0, 1), (1, 2), (2, 3))))
+    assert (report.swap_count, report.final_layout) == (1, (1, 0, 2, 3))
+    originals = {id(ins): k for k, ins in enumerate(program.instructions)}
+    kept = [originals[id(ins)] for ins in routed.instructions if id(ins) in originals]
+    assert kept == [0, 1, 5, 7]
+    assert len(routed.instructions) == len(program.instructions) + 4 + 3 + 4
+
+
+def test_compact_keeps_the_instructions_whose_qubits_keep_their_numbers():
+    program = load_teleport()
+    assert compact(program)[0] is program
+    program = Program(5, 1, [
+        GateOp(Gate.H, 0),
+        GateOp(Gate.CX, 1, control=0),
+        GateOp(Gate.CX, 3, control=1),
+        GateOp(Gate.X, 3, condition=(0, 1)),
+        MeasureOp(1, 0),
+        MeasureOp(3, 0),
+    ])
+    compacted, used = compact(program)
+    assert used == (0, 1, 3)
+    same = [a is b for a, b in zip(compacted.instructions, program.instructions, strict=True)]
+    assert same == [True, True, False, False, True, False]
+    assert compacted.instructions[2:4] == [
+        GateOp(Gate.CX, 2, control=1),
+        GateOp(Gate.X, 2, condition=(0, 1)),
+    ]
+    assert compacted.instructions[5] == MeasureOp(2, 0)
 
 
 def test_route_without_cx_needs_no_connectivity():
