@@ -75,7 +75,7 @@ def test_coupling_map_invariants():
             CouplingMap(3, ((0, 1), edge))
     with pytest.raises(MapFormatError, match=r"edge \[1\.5, 2\] is not a pair of integers"):
         route(load_teleport(), CouplingMap.spanning([(0, 1), (1.5, 2)]))
-    # The width is worked out after the endpoints pass, not over a string.
+    # A non-integer endpoint is reported, not compared by the width's max.
     message = re.escape("edge [0, '1'] is not a pair of integers")
     with pytest.raises(MapFormatError, match=message):
         CouplingMap.spanning([(0, "1")])
