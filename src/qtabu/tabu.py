@@ -16,13 +16,13 @@ prepared ``|+>`` or Bell-pair half for the whole run (the Q-bit individual
 of quantum-inspired evolutionary algorithms). ``Population`` stores a dense
 two-qubit head for the escapes and a fixed tail of those blocks, instead of
 one array of ``2**n_items`` amplitudes. The head is prepared from
-``zero_state`` by the escape gates, and every later gate takes one path:
-``apply_gate`` on a copy of the head, written back into the head with the
-result's ``normalized_cdf``, so no amplitude or probability is computed
-here. A head of up to four complex amplitudes first looks that step up in
-a bounded, process-wide table keyed by the head's bytes and the gate; the
-first run in a process fills it. Settings are checked once, when a
-``SearchConfig`` is built.
+``zero_state`` by the escape gates, which from there reach only 3, 8 or 10
+heads; each template walks them once, with ``apply_gate`` and
+``normalized_cdf``, into an escape machine of read-only heads, their CDFs
+and the head each gate leads to. A population steps an index through it,
+so no amplitude or probability is computed here. A dense ``StateVector``
+used as a population takes ``apply_gate`` in place. Settings are checked
+once, when a ``SearchConfig`` is built.
 
 Fitness is profit times a soft capacity penalty:
 
@@ -63,9 +63,9 @@ fills the slot and makes every move through ``select_move``, with the
 same bytes.
 
 A prepared population depends only on its item count and mode, so
-``init_population`` builds one template per ``(n_items, mode)``, keeps the
-last ``len(_MODES)`` of them process-wide, and hands out copies; each run
-steps the head of its own copy, never the template's.
+``init_population`` builds one template (and its machine) per ``(n_items,
+mode)``, keeps the last ``len(_MODES)`` of them process-wide, and hands out
+copies; each run steps its own copy's state index, never the template's.
 """
 
 from __future__ import annotations
@@ -90,13 +90,6 @@ _MODES = get_args(PopulationMode)
 # Flip scores one run's neighbourhood cache may hold: about 4 MiB of Python
 # objects (some 60 bytes a score) at any number of items.
 CACHE_SCORES = 2**16
-# Gate steps the process-wide step table may hold: (head bytes, gate) ->
-# (next amplitudes, their normalized CDF), about 0.7 KiB an entry. Escapes
-# from a fresh population reach at most ten heads, so a few dozen are used.
-STEP_ENTRIES = 2**10
-# Widest head, in amplitudes, whose steps go through the table.
-_STEP_AMPLITUDES = 4
-_STEPS: dict[tuple[bytes, GateOp], tuple[np.ndarray, tuple[float, ...]]] = {}
 # The last instance run with room in the cache, and the neighbourhood cache
 # and move memo its runs share (``qts_run``). One slot, not one per
 # instance: a run on another instance frees the last one's tables.
@@ -285,8 +278,11 @@ class Population:
 
     ``tail`` lists block widths from the first qubit after the head up: 1
     for a ``|+>``, 2 for a Bell pair, whose two qubits always agree. The
-    full state is ``kron(tail blocks from the highest down, head)``. Gates
-    act on the head only; a dense ``StateVector`` is a head with no tail.
+    full state is ``kron(tail blocks from the highest down, head)``, and a
+    dense ``StateVector`` is a head with no tail. Gates act on the head
+    only: a population from ``init_population`` is at one state of its
+    template's escape machine, and ``escape`` moves it to the next, so
+    ``head`` is that state's read-only head and ``_cdf`` its CDF.
     """
 
     def __init__(self, head: StateVector, tail: tuple[int, ...] = ()) -> None:
@@ -314,37 +310,12 @@ class Population:
         self._pick = itemgetter(*picks) if len(picks) > 1 else lambda digits: (digits[picks[0]],)
 
     def copy(self) -> Population:
-        """The same population with its own head array. The CDF and the
-        sampling tables are shared: a gate replaces ``_cdf``, and nothing
-        changes the others."""
+        """The same population, with a state index of its own. Everything
+        else is shared: nothing changes it, and the machine's heads are
+        read-only."""
         twin = object.__new__(Population)
         twin.__dict__.update(self.__dict__)
-        twin.head = self.head.copy()
         return twin
-
-    def apply(self, op: GateOp) -> None:
-        """Apply one gate to the head in place.
-
-        ``apply_gate`` runs on a copy of the head, and its amplitudes are
-        written into the head's own array, so the step is the kernel's, bit
-        for bit. A head of up to four complex amplitudes looks its step up
-        in the table first and stores it on a miss while the table has
-        room (a real head is not keyed: its bytes could pass for a narrower
-        complex head). The key holds the whole gate, and a gate
-        ``apply_gate`` rejects raises before the head or the table changes.
-        """
-        amps = self.head.amplitudes
-        key = None  # never stored, so a head without a key always misses
-        if amps.size <= _STEP_AMPLITUDES and amps.dtype == complex:
-            key = (amps.tobytes(), op)
-        step = _STEPS.get(key)
-        if step is None:
-            head = apply_gate(self.head.copy(), op)
-            step = head.amplitudes, tuple(normalized_cdf(head).tolist())
-            if key is not None and len(_STEPS) < STEP_ENTRIES:
-                _STEPS[key] = step
-        amps[...] = step[0]
-        self._cdf = step[1]
 
     def sample(self, rng: np.random.Generator) -> CandidateSolution:
         """The basis state at a uniform ``u`` in [0, 1) of the dense inverse CDF.
@@ -368,11 +339,6 @@ class Population:
         index = bisect_right(self._cdf, u - coins)
         digits = digits << self.head.n_qubits | index
         return self._pick(format(digits, "b").encode().translate(_DIGITS))
-
-
-def _as_population(population: Population | StateVector) -> Population:
-    """A dense state acts as a population with no tail, sharing its amplitudes."""
-    return population if isinstance(population, Population) else Population(population)
 
 
 @dataclass(kw_only=True)
@@ -416,14 +382,37 @@ def init_population(n_items: int, mode: PopulationMode = "with_replacement") -> 
 @lru_cache(maxsize=len(_MODES))
 def _template(n_items: int, mode: PopulationMode) -> Population:
     """The population ``init_population`` copies, built once per
-    ``(n_items, mode)``; the last ``len(_MODES)`` are kept."""
-    head = apply_gate(zero_state(min(n_items, 2)), _ESCAPE_H[0])
-    if n_items == 1:
-        return Population(head)
-    if mode == "with_replacement":
-        return Population(apply_gate(head, _ESCAPE_H[1]), (1,) * (n_items - 2))
-    tail = (2,) * (n_items // 2 - 1) + (1,) * (n_items % 2)
-    return Population(apply_gate(head, _ESCAPE_CX), tail)
+    ``(n_items, mode)``; the last ``len(_MODES)`` are kept.
+
+    Its escape machine is its head walked to closure under the escape gates
+    of its width (``_ESCAPE_H[n_items >= 2]``, and ``_ESCAPE_CX`` from two
+    items up) by ``apply_gate`` on copies; equal bytes are one state.
+    """
+    wide = n_items >= 2
+    head, tail = apply_gate(zero_state(1 + wide), _ESCAPE_H[0]), ()
+    if wide and mode == "with_replacement":
+        head, tail = apply_gate(head, _ESCAPE_H[1]), (1,) * (n_items - 2)
+    elif wide:
+        head = apply_gate(head, _ESCAPE_CX)
+        tail = (2,) * (n_items // 2 - 1) + (1,) * (n_items % 2)
+    gates = (_ESCAPE_H[wide], _ESCAPE_CX)[: 1 + wide]
+    heads, index, steps = [head], {head.amplitudes.tobytes(): 0}, []
+    for reached in heads:  # grows as the walk finds new heads
+        row = []
+        for op in gates:
+            stepped = apply_gate(reached.copy(), op)
+            row.append(index.setdefault(stepped.amplitudes.tobytes(), len(heads)))
+            if row[-1] == len(heads):
+                heads.append(stepped)
+        steps.append(tuple(row))
+    for reached in heads:
+        reached.amplitudes.flags.writeable = False
+    population = Population(head, tail)
+    # Each state's head and CDF, each state's next state by ``escape``'s
+    # ``entangled`` (h, then cx), and the state a copy of it is at.
+    population._states = tuple((h, tuple(normalized_cdf(h).tolist())) for h in heads)
+    population._next, population._at = tuple(steps), 0
+    return population
 
 
 def sample_candidate(
@@ -432,9 +421,12 @@ def sample_candidate(
     """Draw one selection from the population without collapsing it.
 
     Uniform draws (one per 32 qubits) pick the basis state by the inverse
-    CDF over the basis index (qubit 0 least significant).
+    CDF over the basis index (qubit 0 least significant). A dense state is
+    read as a population with no tail, sharing its amplitudes.
     """
-    return _as_population(population).sample(rng)
+    if not isinstance(population, Population):
+        population = Population(population)
+    return population.sample(rng)
 
 
 def _neighbourhood(instance: KnapsackInstance, bits: Sequence[int]) -> Neighbourhood:
@@ -524,13 +516,18 @@ def escape(
     If the two leading bits of the best solution differ, entangle them with
     cx(0, 1); otherwise spread qubit 1 with h (qubit 0 when there is only
     one item), in place. Returns a fresh draw from the perturbed population
-    and whether the gate was cx; only the population and ``rng`` change.
+    and whether the gate was cx; only the population and ``rng`` change. A
+    population from ``init_population`` takes the gate's step in its escape
+    machine; a dense state takes ``apply_gate`` in its own array.
     """
     wide = len(best_solution) >= 2
     entangled = wide and best_solution[0] != best_solution[1]
-    population = _as_population(population)
-    population.apply(_ESCAPE_CX if entangled else _ESCAPE_H[wide])
-    return sample_candidate(population, rng), entangled
+    if isinstance(population, Population):
+        population._at = at = population._next[population._at][entangled]
+        population.head, population._cdf = population._states[at]
+        return population.sample(rng), entangled
+    apply_gate(population, _ESCAPE_CX if entangled else _ESCAPE_H[wide])
+    return Population(population).sample(rng), entangled
 
 
 def qts_run(instance: KnapsackInstance, config: SearchConfig | None = None) -> SearchResult:

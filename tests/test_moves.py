@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import oracles
 from qtabu import mapsearch, tabu
 from qtabu.mapsearch import MapSearchProblem, all_directed_pairs, load_teleport, search_best_map
-from qtabu.statevector import Gate, GateOp, apply_gate, normalized_cdf, zero_state
+from qtabu.statevector import Gate, GateOp, StateVector, apply_gate, normalized_cdf, zero_state
 from qtabu.tabu import KnapsackInstance, SearchConfig, fitness
 
 MODES = ("with_replacement", "without_replacement")
@@ -103,32 +103,48 @@ def test_an_item_twice_in_the_tabu_list_counts_once():
         )
 
 
+def _escape_gate(before: StateVector, after: StateVector) -> Gate:
+    """The one escape gate whose ``apply_gate`` steps head ``before`` to
+    head ``after``, bit for bit."""
+    ops = (GateOp(Gate.CX, 1, control=0), GateOp(Gate.H, 1))
+    if before.n_qubits == 1:
+        ops = (GateOp(Gate.H, 0),)
+    stepped = after.amplitudes.tobytes()
+    kinds = [op.kind for op in ops if apply_gate(before.copy(), op).amplitudes.tobytes() == stepped]
+    assert len(kinds) == 1, kinds
+    return kinds[0]
+
+
 def _recorded_run(instance: KnapsackInstance, config: SearchConfig):
-    """``qts_run`` with each move's selection before and after, and each
-    gate applied to the population, recorded. The recorded run has no room
-    in the cache, so every move goes through ``select_move``; it must equal
-    the default run."""
+    """``qts_run`` with each move's selection before and after, and the
+    gate of each escape, recorded. A run draws from the population first
+    and once after each escape, which moves the population to a state of
+    its escape machine; the gate is the one the kernel steps the head of
+    one draw to the next's by. The recorded run has no room in the cache,
+    so every move goes through ``select_move``; it must equal the default
+    run."""
     moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    gates: list[Gate] = []
+    heads: list[StateVector] = []
     select_move = tabu.select_move
-    apply = tabu.Population.apply
+    sample = tabu.Population.sample
 
     def record_move(hood, current, *args):
         move = select_move(hood, current, *args)
         moves.append((current, move[0]))
         return move
 
-    def record_gate(population, op):
-        gates.append(op.kind)
-        apply(population, op)
+    def record_draw(population, rng):
+        heads.append(population.head)
+        return sample(population, rng)
 
     with (
         mock.patch.object(tabu, "CACHE_SCORES", 0),
         mock.patch.object(tabu, "select_move", record_move),
-        mock.patch.object(tabu.Population, "apply", record_gate),
+        mock.patch.object(tabu.Population, "sample", record_draw),
     ):
         result = tabu.qts_run(instance, config)
     assert repr(result) == repr(tabu.qts_run(instance, config))
+    gates = [_escape_gate(before, after) for before, after in zip(heads, heads[1:])]
     return result, moves, gates
 
 
@@ -335,10 +351,12 @@ def _scored_run(instance: KnapsackInstance, config: SearchConfig):
     """``qts_run`` with the selections it scored and every selection it
     looked up, in order: each draw (the first and each escape's) and each
     result of a ``select_move`` call. A move replayed from the memo looks
-    nothing up, so only a run with no room in the cache lists every move."""
+    nothing up, so only a run with no room in the cache lists every move.
+    Every draw, from the first to each escape's, is a ``Population.sample``."""
     scored: list[tuple[int, ...]] = []
     looked_up: list[tuple[int, ...]] = []
-    neighbourhood, select_move, sample = tabu._neighbourhood, tabu.select_move, tabu.sample_candidate
+    neighbourhood, select_move = tabu._neighbourhood, tabu.select_move
+    sample = tabu.Population.sample
 
     def record_score(instance, bits):
         scored.append(bits)
@@ -357,7 +375,7 @@ def _scored_run(instance: KnapsackInstance, config: SearchConfig):
     with (
         mock.patch.object(tabu, "_neighbourhood", record_score),
         mock.patch.object(tabu, "select_move", record_move),
-        mock.patch.object(tabu, "sample_candidate", record_draw),
+        mock.patch.object(tabu.Population, "sample", record_draw),
     ):
         result = tabu.qts_run(instance, config)
     return result, scored, looked_up
@@ -770,33 +788,54 @@ def _fresh_heads() -> dict[str, tuple[list[str], list[str]]]:
 
 def test_each_run_starts_from_its_own_copy_of_the_prepared_population():
     """Runs start from a copy of the template ``init_population`` keeps for
-    their item count and mode, whose head their escapes step: the template's
-    head and CDF still equal a fresh preparation from ``zero_state``, and no
-    run's head array shares memory with the template's. Items 0 and 1 are
-    the best pair, so escapes take h, which steps either head."""
+    their item count and mode, and their escapes step only that copy: each
+    run makes one copy, every draw of the run comes from it, and each of its
+    heads is a read-only state of the template's escape machine. The
+    template stays at its prepared head and CDF, equal to a fresh
+    preparation from ``zero_state``. Items 0 and 1 are the best pair, so
+    escapes take h, which steps either head."""
     instance = KnapsackInstance((5.0, 5.0, 1.0, 1.0, 1.0), (1.0, 1.0, 3.0, 3.0, 3.0), 3.0)
     fresh = _fresh_heads()
-    draws = []  # each draw's head array, with its amplitudes and CDF by hex
-    sample = tabu.sample_candidate
+    draws = []  # each draw's population and head, and the head and CDF by hex
+    copies = []
+    runs = []
+    sample, copy = tabu.Population.sample, tabu.Population.copy
 
     def record_draw(population, rng):
-        head = population.head.amplitudes
-        draws.append((head, (_hex(head), _hex(population._cdf))))
+        head = population.head
+        draws.append((population, head, (_hex(head.amplitudes), _hex(population._cdf))))
         return sample(population, rng)
 
-    with mock.patch.object(tabu, "sample_candidate", record_draw):
+    def record_copy(population):
+        copies.append(copy(population))
+        return copies[-1]
+
+    with (
+        mock.patch.object(tabu.Population, "sample", record_draw),
+        mock.patch.object(tabu.Population, "copy", record_copy),
+    ):
         for seed in range(6):
             mode = MODES[seed % 2]
             config = SearchConfig(
                 max_iterations=60, stagnation_limit=2, population_mode=mode, seed=seed
             )
             draws.clear()
+            copies.clear()
             tabu.qts_run(instance, config)
-            assert draws[0][1] == fresh[mode]
-            assert any(state != fresh[mode] for _, state in draws)
             template = tabu._template(instance.n_items, mode)
+            assert len(copies) == 1
+            own = copies[0]
+            assert own is not template and all(own is not earlier for earlier in runs)
+            runs.append(own)
+            assert all(population is own for population, _, _ in draws)
+            assert draws[0][2] == fresh[mode]
+            assert any(state != fresh[mode] for _, _, state in draws)
+            heads = [head for head, _ in template._states]
+            for _, head, _ in draws:
+                assert any(head is state for state in heads)
+                assert not head.amplitudes.flags.writeable
+            assert template._at == 0 and template.head is heads[0]
             assert (_hex(template.head.amplitudes), _hex(template._cdf)) == fresh[mode]
-            assert not any(np.shares_memory(head, template.head.amplitudes) for head, _ in draws)
     assert tabu._TABLES[0] is instance
 
 
@@ -819,7 +858,8 @@ def test_each_mode_prepares_its_population_once_per_item_count():
     in the cache starts from the same template and equals the default run.
     The runs' escapes step their heads, yet each template's head and CDF
     still equal a fresh preparation, and two ``init_population`` calls
-    never share a head array."""
+    never share a state index: escaping one moves neither the other nor
+    the template off the prepared head."""
     tabu._template.cache_clear()
     prepared = []
     zero = tabu.zero_state
@@ -844,5 +884,6 @@ def test_each_mode_prepares_its_population_once_per_item_count():
         template = tabu._template(10, mode)
         assert (_hex(template.head.amplitudes), _hex(template._cdf)) == fresh[mode]
         first, second = tabu.init_population(10, mode), tabu.init_population(10, mode)
-        assert not np.shares_memory(first.head.amplitudes, second.head.amplitudes)
-        assert not np.shares_memory(first.head.amplitudes, template.head.amplitudes)
+        tabu.escape(first, (0,) * 10, np.random.default_rng(29))
+        assert first.head is not template.head
+        assert second.head is template.head and (second._at, template._at) == (0, 0)

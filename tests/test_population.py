@@ -4,8 +4,9 @@ The reference is the dense simulation: ``zero_state`` plus ``apply_gate``
 for the preparation gates and every later gate, sampled by the dense
 inverse CDF over all ``2**n`` basis states. Gates reach only the head
 (qubits 0 and 1); the tail keeps its prepared ``|+>`` and Bell blocks.
-Narrow heads step through the process-wide step table, whose entries are
-checked against a fresh ``apply_gate`` on a copy.
+A population from ``init_population`` escapes through its template's
+escape machine, whose states are checked against a fresh ``apply_gate`` on
+a copy, and a dense state escapes through ``apply_gate`` in place.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from qtabu.tabu import (
 
 MODES = ("with_replacement", "without_replacement")
 ESCAPE_GATES = (GateOp(Gate.CX, 1, control=0), GateOp(Gate.H, 1))
+# The closure sizes the escape gates reach from each prepared head.
+MACHINE_STATES = {1: 3, "with_replacement": 8, "without_replacement": 10}
 
 
 class Draws:
@@ -65,6 +68,17 @@ def dense_population(n: int, mode: str) -> StateVector:
         if n % 2 == 1:
             apply_gate(state, GateOp(Gate.H, n - 1))
     return state
+
+
+def best_for(n: int, entangled: bool) -> tuple[int, ...]:
+    """A best selection over ``n`` items whose escape takes cx if
+    ``entangled`` (bits 0 and 1 differ), or h otherwise."""
+    return (int(entangled),) + (0,) * (n - 1)
+
+
+def escape_gate(n: int, entangled: bool) -> GateOp:
+    """The gate ``escape`` applies over ``n`` items."""
+    return ESCAPE_GATES[0] if entangled else GateOp(Gate.H, min(n, 2) - 1)
 
 
 def dense_inverse_cdf(state: StateVector, u: float) -> tuple[int, ...]:
@@ -111,12 +125,15 @@ def gate_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(gate_runs())
 def test_factored_population_matches_dense(run):
+    """Any gates on the head, by ``apply_gate`` on a copy of a prepared one."""
     n, mode, ops, seed = run
-    population = init_population(n, mode)
+    prepared = init_population(n, mode)
+    head = prepared.head.copy()
     dense = dense_population(n, mode)
     for op in ops:
-        population.apply(op)
+        apply_gate(head, op)
         apply_gate(dense, op)
+    population = Population(head, prepared.tail)
     assert population.head.n_qubits + sum(population.tail) == n
     np.testing.assert_allclose(
         population_amplitudes(population), dense.amplitudes, rtol=0, atol=1e-12
@@ -129,6 +146,29 @@ def test_factored_population_matches_dense(run):
         assert sample_candidate(population, rng_factored) == dense_inverse_cdf(
             dense, rng_dense.random()
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from(MODES),
+    st.lists(st.booleans(), max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+def test_escapes_through_the_machine_match_escapes_on_the_dense_state(n, mode, gates, seed):
+    """A prepared population steps through its machine, the dense state it
+    stands for through ``apply_gate``: each escape's draw and gate agree,
+    and so do the amplitudes after them."""
+    population = init_population(n, mode)
+    dense = dense_population(n, mode)
+    rng_factored = np.random.default_rng(seed)
+    rng_dense = np.random.default_rng(seed)
+    for cx in gates:
+        best = best_for(n, cx and n >= 2)
+        assert escape(population, best, rng_factored) == escape(dense, best, rng_dense)
+    np.testing.assert_allclose(
+        population_amplitudes(population), dense.amplitudes, rtol=0, atol=1e-12
+    )
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -164,8 +204,8 @@ def test_samples_equal_the_doubling_walk(mode):
     populations = [Population(dense_population(3, mode))]
     for n in (1, 2, 3, 10, 31, 32, 33, 34, 35, 63, 64, 65, 66, 67, 100):
         stepped = init_population(n, mode)
-        for op in (*ESCAPE_GATES, ESCAPE_GATES[0]) if n >= 2 else (GateOp(Gate.H, 0),):
-            stepped.apply(op)
+        for cx in (True, False, True) if n >= 2 else (False,):
+            escape(stepped, best_for(n, cx), rng)
         populations += [init_population(n, mode), stepped]
     for population in populations:
         for u in edges:
@@ -176,17 +216,18 @@ def test_samples_equal_the_doubling_walk(mode):
 
 
 def test_escape_gates_stay_in_two_qubit_blocks():
+    rng = np.random.default_rng(19)
     for mode, tail in (("with_replacement", (1,) * 18), ("without_replacement", (2,) * 9)):
         population = init_population(20, mode)
-        for op in ESCAPE_GATES * 5:
-            population.apply(op)
+        for cx in (True, False) * 5:
+            escape(population, best_for(20, cx), rng)
         assert population.head.n_qubits == 2
         assert population.tail == tail
 
 
-def test_gate_on_a_tail_qubit_names_the_head_width(steps):
+def test_gate_on_a_tail_qubit_names_the_head_width():
     population = init_population(5, "without_replacement")
-    population.apply(GateOp(Gate.H, 1))
+    escape(population, best_for(5, False), np.random.default_rng(20))
     before = population.head.amplitudes.tobytes()
     for op, message in (
         (GateOp(Gate.H, 2), "target qubit 2"),
@@ -194,16 +235,15 @@ def test_gate_on_a_tail_qubit_names_the_head_width(steps):
         (GateOp(Gate.X, 3), "target qubit 3"),
     ):
         with pytest.raises(IndexError, match=f"{message} out of range for 2 qubits"):
-            population.apply(op)
+            apply_gate(population.head, op)
         assert population.head.amplitudes.tobytes() == before
-        assert len(steps) == 1
 
 
 def test_population_rejects_out_of_range_qubits():
     population = init_population(3)
     for op in (GateOp(Gate.H, 3), GateOp(Gate.CX, 0, control=-1)):
         with pytest.raises(IndexError, match="out of range"):
-            population.apply(op)
+            apply_gate(population.head, op)
 
 
 def test_dense_state_samples_as_one_block():
@@ -247,49 +287,55 @@ def test_every_qubit_of_a_wide_population_is_sampled_evenly(mode):
     assert np.all((900 <= ones) & (ones <= 1100)), ones
 
 
-@pytest.fixture
-def steps(monkeypatch) -> dict:
-    """An empty step table for the test, the process's own put back after."""
-    table: dict = {}
-    monkeypatch.setattr(tabu, "_STEPS", table)
-    return table
-
-
 def kernel_cdf(state: StateVector) -> list[str]:
     """The normalized CDF of ``state``, each entry as ``float.hex``."""
     cdf = np.cumsum(probabilities(state))
     return [float.hex(c) for c in (cdf / cdf[-1]).tolist()]
 
 
-def kernel_step(head: StateVector, op: GateOp) -> tuple[bytes, list[str]]:
-    """``apply_gate`` on a copy of ``head``, and the normalized CDF of the result."""
-    stepped = apply_gate(head.copy(), op)
-    return stepped.amplitudes.tobytes(), kernel_cdf(stepped)
+def kernel_hex(state: StateVector) -> tuple[list[str], list[str]]:
+    """The amplitudes of ``state``, real and imaginary parts, and its
+    normalized CDF, each entry as ``float.hex``."""
+    parts = [float.hex(float(x)) for a in state.amplitudes.tolist() for x in (a.real, a.imag)]
+    return parts, kernel_cdf(state)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_step_table_entries_equal_the_kernel(mode, steps):
-    """Every head an escape can reach from a fresh population, walked to
-    closure under the escape gates, and each of its table entries."""
-    for n in (1, 2, 3):
-        gates = ESCAPE_GATES if n >= 2 else (GateOp(Gate.H, 0),)
-        start = init_population(n, mode).head
-        reached = {start.amplitudes.tobytes(): start}
-        frontier = [start]
-        while frontier:
-            head = frontier.pop()
-            for op in gates:
-                population = Population(head.copy())
-                population.apply(op)
-                amplitudes, cdf = steps[(head.amplitudes.tobytes(), op)]
-                expected = kernel_step(head, op)
-                assert (amplitudes.tobytes(), [float.hex(c) for c in cdf]) == expected
-                assert population.head.amplitudes.tobytes() == expected[0]
-                assert population._cdf is cdf
-                if expected[0] not in reached:
-                    reached[expected[0]] = population.head
-                    frontier.append(population.head)
-        assert len(reached) <= 10, (n, len(reached))
+def test_escape_machine_steps_equal_the_kernel(mode):
+    """Each template's machine is its prepared head walked to closure under
+    the escape gates of its width: a pinned number of states, each step
+    ``apply_gate`` of the state it leaves and each CDF ``normalized_cdf``,
+    both by ``float.hex``, in read-only arrays no escape can write. Copies
+    step their own index, never the template's."""
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 4):
+        template = tabu._template(n, mode)
+        states, steps = template._states, template._next
+        assert len(states) == MACHINE_STATES[1 if n == 1 else mode]
+        assert states[0][0] is template.head and template._at == 0
+        assert kernel_hex(template.head) == kernel_hex(dense_population(min(n, 2), mode))
+        assert len({head.amplitudes.tobytes() for head, _ in states}) == len(states)
+        for (head, cdf), row in zip(states, steps):
+            assert [float.hex(c) for c in cdf] == kernel_cdf(head)
+            assert [float.hex(c) for c in cdf] == [float.hex(c) for c in normalized_cdf(head)]
+            assert not head.amplitudes.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                head.amplitudes[0] = 0.0
+            assert len(row) == (1 if n == 1 else 2)
+            for entangled, to in enumerate(row):
+                stepped = apply_gate(head.copy(), escape_gate(n, bool(entangled)))
+                assert kernel_hex(states[to][0]) == kernel_hex(stepped)
+
+        population, at, visited = init_population(n, mode), 0, {0}
+        for _ in range(60):
+            entangled = n >= 2 and bool(rng.integers(2))
+            escape(population, best_for(n, entangled), rng)
+            at = steps[at][entangled]
+            visited.add(at)
+            assert population._at == at
+            assert population.head is states[at][0] and population._cdf is states[at][1]
+            assert template._at == 0 and template.head is states[0][0]
+        assert len(visited) > 1
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -321,9 +367,10 @@ def test_normalized_cdf_equals_the_kernel_cdf_on_every_reachable_head(mode):
                     frontier.append(stepped)
 
 
-def test_an_escape_on_a_dense_state_builds_two_cdfs(monkeypatch):
-    """One for the state as it stands and one for the stepped state, which
-    the draw then reads; the state's own array is stepped in place."""
+def test_an_escape_on_a_dense_state_builds_one_cdf(monkeypatch):
+    """A dense state is stepped in its own array by ``apply_gate``, and the
+    draw reads the one CDF of the stepped state. Its real amplitudes stay
+    real, and a 2**20 state steps as the kernel does."""
     state = dense_population(10, "with_replacement")
     calls = []
 
@@ -335,77 +382,52 @@ def test_an_escape_on_a_dense_state_builds_two_cdfs(monkeypatch):
     expected = apply_gate(state.copy(), GateOp(Gate.CX, 1, control=0))
     amplitudes = state.amplitudes
     draw, entangled = escape(state, (1,) + (0,) * 9, np.random.default_rng(18))
-    assert calls == [10, 10]
+    assert calls == [10]
     assert entangled
     assert state.amplitudes is amplitudes
     assert amplitudes.tobytes() == expected.amplitudes.tobytes()
     assert draw == dense_inverse_cdf(expected, np.random.default_rng(18).random())
 
-
-def test_a_table_hit_writes_into_the_callers_state(steps):
-    """A dense state passed in changes in place on a hit, and changing it
-    afterwards leaves the stored entry alone."""
-    op = GateOp(Gate.H, 1)
-    first, second = zero_state(2), zero_state(2)
-    Population(first).apply(op)
-    assert len(steps) == 1
-    amplitudes = second.amplitudes
-    Population(second).apply(op)
-    expected = kernel_step(zero_state(2), op)[0]
-    assert second.amplitudes is amplitudes
-    assert amplitudes.tobytes() == first.amplitudes.tobytes() == expected
-    first.amplitudes[...] = second.amplitudes[...] = 0.0
-    third = zero_state(2)
-    Population(third).apply(op)
-    assert third.amplitudes.tobytes() == expected
-
-
-def test_heads_the_table_cannot_key_skip_it(steps):
-    """A dense 2**20 state is neither hashed nor stored: an escape on it
-    gives the kernel's bytes and adds no entry. Nor is a head of real
-    amplitudes, whose bytes could read as a narrower complex head."""
-    state = zero_state(20)
-    for qubit in range(20):
-        apply_gate(state, GateOp(Gate.H, qubit))
-    expected = apply_gate(state.copy(), GateOp(Gate.CX, 1, control=0)).amplitudes.tobytes()
-    assert escape(state, (1,) + (0,) * 19, np.random.default_rng(16))[1]
-    assert state.amplitudes.tobytes() == expected
-    assert len(steps) == 0
-
     real = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0]))
-    Population(real).apply(GateOp(Gate.H, 0))
-    np.testing.assert_array_equal(real.amplitudes, [2**-0.5, 2**-0.5, 0.0, 0.0])
+    assert not escape(real, (1, 1), np.random.default_rng(19))[1]
+    np.testing.assert_array_equal(real.amplitudes, [2**-0.5, 0.0, 2**-0.5, 0.0])
     assert real.amplitudes.dtype == float
-    assert len(steps) == 0
+
+    wide = zero_state(20)
+    for qubit in range(20):
+        apply_gate(wide, GateOp(Gate.H, qubit))
+    expected = apply_gate(wide.copy(), GateOp(Gate.CX, 1, control=0)).amplitudes.tobytes()
+    assert escape(wide, (1,) + (0,) * 19, np.random.default_rng(16))[1]
+    assert wide.amplitudes.tobytes() == expected
 
 
-def test_population_rejects_conditioned_gates(steps):
+def test_population_rejects_conditioned_gates():
     """A population has no classical bits, so the kernel refuses a
-    conditioned gate; its key differs from the plain gate's, so it never
-    takes that entry, and nothing is stored for it."""
+    conditioned gate on its head before writing anything."""
     population = init_population(4)
-    population.apply(GateOp(Gate.X, 0))
+    escape(population, best_for(4, True), np.random.default_rng(22))
     before = population.head.amplitudes.tobytes()
     with pytest.raises(IndexError, match=r"classical bit 0 out of range"):
-        population.apply(GateOp(Gate.X, 0, condition=(0, 1)))
+        apply_gate(population.head, GateOp(Gate.X, 0, condition=(0, 1)))
     assert population.head.amplitudes.tobytes() == before
-    assert len(steps) == 1
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_runs_are_the_same_with_a_cold_warm_or_disabled_table(mode, steps, monkeypatch):
+def test_runs_are_the_same_with_a_cold_warm_or_disabled_table(mode, monkeypatch):
+    """A run whose template, machine and all, is built afresh (cold), one
+    that reuses it (warm), and one whose population is the dense state, so
+    no machine serves its escapes (disabled), give the same bytes."""
     rng = np.random.default_rng(17)
     for seed in range(4):
-        profits, weights = rng.uniform(0.5, 30.0, size=20), rng.uniform(0.1, 15.0, size=20)
+        profits, weights = rng.uniform(0.5, 30.0, size=12), rng.uniform(0.1, 15.0, size=12)
         instance = KnapsackInstance(tuple(profits), tuple(weights), float(weights.sum()) * 0.4)
         config = SearchConfig(seed=seed, population_mode=mode)
-        steps.clear()
-        cold = repr(qts_run(instance, config))
-        assert steps
-        warm = repr(qts_run(instance, config))
+        tabu._template.cache_clear()
+        cold = qts_run(instance, config)
+        assert tabu._template.cache_info().currsize == 1
+        assert cold.escapes_cx + cold.escapes_h
+        warm = qts_run(instance, config)
         with monkeypatch.context() as off:
-            off.setattr(tabu, "STEP_ENTRIES", 0)
-            off.setattr(tabu, "_STEPS", {})
-            disabled = repr(qts_run(instance, config))
-            assert len(tabu._STEPS) == 0
-        assert cold == warm == disabled
+            off.setattr(tabu, "init_population", dense_population)
+            disabled = qts_run(instance, config)
+        assert repr(cold) == repr(warm) == repr(disabled)
