@@ -17,12 +17,12 @@ of quantum-inspired evolutionary algorithms). ``Population`` stores a dense
 two-qubit head for the escapes and a fixed tail of those blocks, instead of
 one array of ``2**n_items`` amplitudes. The head is prepared from
 ``zero_state`` by the escape gates, which from there reach only 3, 8 or 10
-heads; each template walks them once, with ``apply_gate`` and
-``normalized_cdf``, into an escape machine of read-only heads, their CDFs
-and the head each gate leads to. A population steps an index through it,
-so no amplitude or probability is computed here. A dense ``StateVector``
-used as a population takes ``apply_gate`` in place. Settings are checked
-once, when a ``SearchConfig`` is built.
+heads at any item count. Each mode's are walked once per process, with
+``apply_gate`` and ``normalized_cdf``, into an escape machine of read-only
+heads, their CDFs and the head each gate leads to, and a population steps
+an index through it, so no amplitude or probability is computed here. A
+dense ``StateVector`` used as a population takes ``apply_gate`` in place.
+Settings are checked once, when a ``SearchConfig`` is built.
 
 Fitness is profit times a soft capacity penalty:
 
@@ -63,9 +63,9 @@ fills the slot and makes every move through ``select_move``, with the
 same bytes.
 
 A prepared population depends only on its item count and mode, so
-``init_population`` builds one template (and its machine) per ``(n_items,
-mode)``, keeps the last ``len(_MODES)`` of them process-wide, and hands out
-copies; each run steps its own copy's state index, never the template's.
+``init_population`` builds one template per ``(n_items, mode)``, keeps the
+last ``len(_MODES)`` of them process-wide, and hands out copies; each run
+steps its own copy's state index, never the template's.
 """
 
 from __future__ import annotations
@@ -278,11 +278,10 @@ class Population:
 
     ``tail`` lists block widths from the first qubit after the head up: 1
     for a ``|+>``, 2 for a Bell pair, whose two qubits always agree. The
-    full state is ``kron(tail blocks from the highest down, head)``, and a
-    dense ``StateVector`` is a head with no tail. Gates act on the head
-    only: a population from ``init_population`` is at one state of its
-    template's escape machine, and ``escape`` moves it to the next, so
-    ``head`` is that state's read-only head and ``_cdf`` its CDF.
+    full state is ``kron(tail blocks from the highest down, head)``; a dense
+    ``StateVector`` is a head with no tail. Gates act on the head only: a
+    population from ``init_population`` is at a state of its escape machine,
+    whose read-only head and CDF are ``head`` and ``_cdf``.
     """
 
     def __init__(self, head: StateVector, tail: tuple[int, ...] = ()) -> None:
@@ -382,19 +381,26 @@ def init_population(n_items: int, mode: PopulationMode = "with_replacement") -> 
 @lru_cache(maxsize=len(_MODES))
 def _template(n_items: int, mode: PopulationMode) -> Population:
     """The population ``init_population`` copies, built once per
-    ``(n_items, mode)``; the last ``len(_MODES)`` are kept.
-
-    Its escape machine is its head walked to closure under the escape gates
-    of its width (``_ESCAPE_H[n_items >= 2]``, and ``_ESCAPE_CX`` from two
-    items up) by ``apply_gate`` on copies; equal bytes are one state.
-    """
+    ``(n_items, mode)``; the last ``len(_MODES)`` are kept. It is at the
+    first state, the prepared head, of the escape machine of its mode."""
     wide = n_items >= 2
-    head, tail = apply_gate(zero_state(1 + wide), _ESCAPE_H[0]), ()
-    if wide and mode == "with_replacement":
-        head, tail = apply_gate(head, _ESCAPE_H[1]), (1,) * (n_items - 2)
-    elif wide:
-        head = apply_gate(head, _ESCAPE_CX)
-        tail = (2,) * (n_items // 2 - 1) + (1,) * (n_items % 2)
+    states, steps = _escape_machine(wide, mode)
+    rest = n_items - 1 - wide  # qubits past the head
+    tail = (1,) * rest if mode == "with_replacement" else (2,) * (rest // 2) + (1,) * (rest % 2)
+    population = Population(states[0][0], tail)
+    population._states, population._next, population._at = states, steps, 0
+    return population
+
+
+@lru_cache(maxsize=None)  # one per head width and mode: four at most
+def _escape_machine(wide: bool, mode: PopulationMode) -> tuple[tuple, tuple]:
+    """Each state's head (read-only) and CDF, and each state's next state by
+    ``escape``'s ``entangled`` (h, then cx): the prepared head over ``1 +
+    wide`` qubits walked to closure under the escape gates of its width by
+    ``apply_gate`` on copies. Heads with equal bytes are one state."""
+    head = apply_gate(zero_state(1 + wide), _ESCAPE_H[0])
+    if wide:
+        head = apply_gate(head, _ESCAPE_H[1] if mode == "with_replacement" else _ESCAPE_CX)
     gates = (_ESCAPE_H[wide], _ESCAPE_CX)[: 1 + wide]
     heads, index, steps = [head], {head.amplitudes.tobytes(): 0}, []
     for reached in heads:  # grows as the walk finds new heads
@@ -407,12 +413,7 @@ def _template(n_items: int, mode: PopulationMode) -> Population:
         steps.append(tuple(row))
     for reached in heads:
         reached.amplitudes.flags.writeable = False
-    population = Population(head, tail)
-    # Each state's head and CDF, each state's next state by ``escape``'s
-    # ``entangled`` (h, then cx), and the state a copy of it is at.
-    population._states = tuple((h, tuple(normalized_cdf(h).tolist())) for h in heads)
-    population._next, population._at = tuple(steps), 0
-    return population
+    return tuple((h, tuple(normalized_cdf(h).tolist())) for h in heads), tuple(steps)
 
 
 def sample_candidate(

@@ -861,6 +861,7 @@ def test_each_mode_prepares_its_population_once_per_item_count():
     never share a state index: escaping one moves neither the other nor
     the template off the prepared head."""
     tabu._template.cache_clear()
+    tabu._escape_machine.cache_clear()
     prepared = []
     zero = tabu.zero_state
 

@@ -302,17 +302,20 @@ def kernel_hex(state: StateVector) -> tuple[list[str], list[str]]:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_escape_machine_steps_equal_the_kernel(mode):
-    """Each template's machine is its prepared head walked to closure under
+    """A template's machine is its prepared head walked to closure under
     the escape gates of its width: a pinned number of states, each step
     ``apply_gate`` of the state it leaves and each CDF ``normalized_cdf``,
-    both by ``float.hex``, in read-only arrays no escape can write. Copies
-    step their own index, never the template's."""
+    both by ``float.hex``, in read-only arrays no escape can write. Every
+    item count from two up shares its mode's machine. Copies step their own
+    index, never the template's."""
     rng = np.random.default_rng(21)
     for n in (1, 2, 3, 4):
         template = tabu._template(n, mode)
         states, steps = template._states, template._next
         assert len(states) == MACHINE_STATES[1 if n == 1 else mode]
         assert states[0][0] is template.head and template._at == 0
+        narrowest = tabu._template(min(n, 2), mode)
+        assert states is narrowest._states and steps is narrowest._next
         assert kernel_hex(template.head) == kernel_hex(dense_population(min(n, 2), mode))
         assert len({head.amplitudes.tobytes() for head, _ in states}) == len(states)
         for (head, cdf), row in zip(states, steps):
@@ -414,8 +417,8 @@ def test_population_rejects_conditioned_gates():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_runs_are_the_same_with_a_cold_warm_or_disabled_table(mode, monkeypatch):
-    """A run whose template, machine and all, is built afresh (cold), one
-    that reuses it (warm), and one whose population is the dense state, so
+    """A run whose template and escape machine are built afresh (cold), one
+    that reuses them (warm), and one whose population is the dense state, so
     no machine serves its escapes (disabled), give the same bytes."""
     rng = np.random.default_rng(17)
     for seed in range(4):
@@ -423,8 +426,9 @@ def test_runs_are_the_same_with_a_cold_warm_or_disabled_table(mode, monkeypatch)
         instance = KnapsackInstance(tuple(profits), tuple(weights), float(weights.sum()) * 0.4)
         config = SearchConfig(seed=seed, population_mode=mode)
         tabu._template.cache_clear()
+        tabu._escape_machine.cache_clear()
         cold = qts_run(instance, config)
-        assert tabu._template.cache_info().currsize == 1
+        assert tabu._escape_machine.cache_info().currsize == 1
         assert cold.escapes_cx + cold.escapes_h
         warm = qts_run(instance, config)
         with monkeypatch.context() as off:
