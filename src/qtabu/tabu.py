@@ -404,6 +404,7 @@ def _escape_machine(wide: bool, mode: PopulationMode) -> tuple[tuple, tuple]:
     gates = (_ESCAPE_H[wide], _ESCAPE_CX)[: 1 + wide]
     heads, index, steps = [head], {head.amplitudes.tobytes(): 0}, []
     for reached in heads:  # grows as the walk finds new heads
+        reached.amplitudes.flags.writeable = False  # a copy of it is writable
         row = []
         for op in gates:
             stepped = apply_gate(reached.copy(), op)
@@ -411,8 +412,6 @@ def _escape_machine(wide: bool, mode: PopulationMode) -> tuple[tuple, tuple]:
             if row[-1] == len(heads):
                 heads.append(stepped)
         steps.append(tuple(row))
-    for reached in heads:
-        reached.amplitudes.flags.writeable = False
     return tuple((h, tuple(normalized_cdf(h).tolist())) for h in heads), tuple(steps)
 
 
