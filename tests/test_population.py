@@ -370,10 +370,10 @@ def test_normalized_cdf_equals_the_kernel_cdf_on_every_reachable_head(mode):
                     frontier.append(stepped)
 
 
-def test_an_escape_on_a_dense_state_builds_one_cdf(monkeypatch):
+def test_an_escape_on_a_dense_state_builds_two_cdfs(monkeypatch):
     """A dense state is stepped in its own array by ``apply_gate``, and the
-    draw reads the one CDF of the stepped state. Its real amplitudes stay
-    real, and a 2**20 state steps as the kernel does."""
+    draw reads the CDF of the stepped state. The name is from when the
+    unstepped state's CDF was built too; an escape now builds one CDF."""
     state = dense_population(10, "with_replacement")
     calls = []
 
@@ -391,17 +391,49 @@ def test_an_escape_on_a_dense_state_builds_one_cdf(monkeypatch):
     assert amplitudes.tobytes() == expected.amplitudes.tobytes()
     assert draw == dense_inverse_cdf(expected, np.random.default_rng(18).random())
 
+
+def test_a_table_hit_writes_into_the_callers_state():
+    """A dense state passed to ``escape`` changes in place, and changing it
+    afterwards changes no later escape. A population's head is a stored
+    machine state: writing into it is refused, so fresh populations keep
+    the prepared head."""
+    first, second = zero_state(2), zero_state(2)
+    escape(first, (1, 1), np.random.default_rng(23))
+    amplitudes = second.amplitudes
+    escape(second, (1, 1), np.random.default_rng(23))
+    expected = apply_gate(zero_state(2), GateOp(Gate.H, 1)).amplitudes.tobytes()
+    assert second.amplitudes is amplitudes
+    assert amplitudes.tobytes() == first.amplitudes.tobytes() == expected
+    first.amplitudes[...] = second.amplitudes[...] = 0.0
+    third = zero_state(2)
+    escape(third, (1, 1), np.random.default_rng(23))
+    assert third.amplitudes.tobytes() == expected
+
+    population = init_population(4)
+    prepared = population.head.amplitudes.tobytes()
+    escape(population, best_for(4, True), np.random.default_rng(24))
+    with pytest.raises(ValueError, match="read-only"):
+        population.head.amplitudes[...] = 0.0
+    assert init_population(4).head.amplitudes.tobytes() == prepared
+
+
+def test_heads_the_table_cannot_key_skip_it():
+    """A dense 2**20 state escapes through ``apply_gate`` on its own array:
+    the kernel's bytes, and no escape machine is built for it. Nor for a
+    head of real amplitudes, which stays real."""
+    built = tabu._escape_machine.cache_info().currsize
+    state = zero_state(20)
+    for qubit in range(20):
+        apply_gate(state, GateOp(Gate.H, qubit))
+    expected = apply_gate(state.copy(), GateOp(Gate.CX, 1, control=0)).amplitudes.tobytes()
+    assert escape(state, (1,) + (0,) * 19, np.random.default_rng(16))[1]
+    assert state.amplitudes.tobytes() == expected
+
     real = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0]))
     assert not escape(real, (1, 1), np.random.default_rng(19))[1]
     np.testing.assert_array_equal(real.amplitudes, [2**-0.5, 0.0, 2**-0.5, 0.0])
     assert real.amplitudes.dtype == float
-
-    wide = zero_state(20)
-    for qubit in range(20):
-        apply_gate(wide, GateOp(Gate.H, qubit))
-    expected = apply_gate(wide.copy(), GateOp(Gate.CX, 1, control=0)).amplitudes.tobytes()
-    assert escape(wide, (1,) + (0,) * 19, np.random.default_rng(16))[1]
-    assert wide.amplitudes.tobytes() == expected
+    assert tabu._escape_machine.cache_info().currsize == built
 
 
 def test_population_rejects_conditioned_gates():
