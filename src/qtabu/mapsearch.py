@@ -39,6 +39,11 @@ selection but the empty one is over the budget.
 The engine holds any number of items, so the search is as wide as the
 circuit's profit-bearing edges (teleport gives 4 of them at any number of
 physical qubits); ``MAX_CANDIDATE_EDGES`` bounds the candidate list.
+
+A problem keeps its derived instances and its last winner's map and
+routing report, so the searches of one problem (one per seed, or per
+``search-map`` run) derive once and decode and route a repeated winner
+once.
 """
 
 from __future__ import annotations
@@ -90,7 +95,12 @@ class MapSearchProblem:
     The engine's instance is derived from these on the problem's first
     search and kept on the problem (``_derived``), so every search of one
     problem runs the same instance object and reuses what ``qts_run`` keeps
-    for it.
+    for it. The last search's mapped-back selection is kept next to it
+    (``_winner``), with its ``CouplingMap`` and its ``RoutingReport`` (None
+    when routing failed); both are frozen, so results share them. Neither
+    slot is a field, so neither enters ``==`` or ``repr``. Both slots rest
+    on one assumption: the circuit is read on the first search and is not
+    changed after it.
     """
 
     circuit: Program
@@ -208,7 +218,11 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
     Both instances are derived once per problem, on its first search, so
     the searches of one problem (one per seed, or per ``search-map`` run)
     give ``qts_run`` one instance object, whose neighbourhood cache and
-    move memo carry over from search to search.
+    move memo carry over from search to search. The problem also keeps the
+    last winner (``MapSearchProblem``): a search whose mapped-back
+    selection equals it, by value, returns the stored map and report, and
+    any other search decodes and routes its own and replaces it. So a
+    winner that repeats from run to run is decoded and routed once.
     """
     instance, kept, engine = problem._derived
     bits = [0] * instance.n_items
@@ -228,11 +242,15 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
             iterations_run=0,
             trace=[],
         )
-    cmap = decode(result.best_solution, problem)
-    try:
-        _, report = route(problem.circuit, cmap)
-    except RoutingError:
-        report = None
+    winner = problem.__dict__.get("_winner")
+    if winner is None or winner[0] != result.best_solution:
+        cmap = decode(result.best_solution, problem)
+        try:
+            _, report = route(problem.circuit, cmap)
+        except RoutingError:
+            report = None
+        winner = problem.__dict__["_winner"] = (result.best_solution, cmap, report)
+    _, cmap, report = winner
     return ScoredMap(map=cmap, score=result.best_evaluation, routing=report, search=result)
 
 

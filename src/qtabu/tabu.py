@@ -353,6 +353,18 @@ class EngineCounters:
 
 @dataclass
 class SearchResult(EngineCounters):
+    """What one ``qts_run`` found, with its trace and ``EngineCounters``.
+
+    ``best_solution`` is the first selection to reach ``best_evaluation``,
+    at ``best_iteration`` (0: the first draw); ``iterations_run`` counts
+    the iterations, and ``trace`` holds one ``(iteration, current
+    evaluation, best evaluation)`` row for each.
+    Each run returns a fresh result, and ``search_best_map`` rewrites it in
+    place: ``best_solution`` becomes one bit per candidate edge, and a run
+    that ends over the budget gets the empty selection's
+    ``best_evaluation`` (0.0) and ``best_iteration`` (0).
+    """
+
     best_solution: CandidateSolution
     best_evaluation: float
     best_iteration: int  # when best_evaluation was first reached (0: the first draw)

@@ -354,7 +354,6 @@ def test_search_best_map_is_deterministic():
     assert first.search == second.search
 
 
-
 def test_searches_of_one_problem_derive_its_instance_once():
     """Every search of one problem hands ``qts_run`` the same instance
     object, derived once, so the engine's tables serve them all; each run
@@ -406,6 +405,75 @@ def test_searches_of_one_problem_share_their_moves():
     for config, scored in zip(configs, shared):
         again = MapSearchProblem(problem.circuit, problem.candidate_edges, problem.edge_budget)
         assert repr(scored) == repr(search_best_map(again, config))
+
+
+def _counted(name, calls):
+    """A stand-in for ``mapsearch.<name>`` that logs each call's arguments."""
+    function = getattr(mapsearch, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    return mock.patch.object(mapsearch, name, counted)
+
+
+def test_a_repeated_winner_is_decoded_and_routed_once():
+    """Twenty searches of one problem, seeds 0-19, land on one winner: it is
+    decoded and routed once, and every result holds that one map and report."""
+    problem = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=6)
+    decoded, routed = [], []
+    with _counted("decode", decoded), _counted("route", routed):
+        shared = [search_best_map(problem, SearchConfig(seed=seed)) for seed in range(20)]
+    assert len(decoded) == len(routed) == 1
+    assert routed[0][1] is shared[0].map
+    assert shared[0].routing is not None
+    for scored in shared[1:]:
+        assert scored.map is shared[0].map and scored.routing is shared[0].routing
+        assert scored.search is not shared[0].search
+
+
+def test_winners_that_change_are_routed_afresh():
+    """The 200 one-iteration searches at budget 1 of
+    ``test_a_run_that_ends_over_the_budget_returns_the_empty_map`` on one
+    shared problem: the winner changes 151 times, each change is routed
+    once more, and each result equals a search of a new equal problem."""
+    problem = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=1)
+    configs = [SearchConfig(max_iterations=1, seed=seed) for seed in range(200)]
+    routed = []
+    with _counted("route", routed):
+        shared = [search_best_map(problem, config) for config in configs]
+    winners = [scored.search.best_solution for scored in shared]
+    changes = sum(last != winner for last, winner in zip(winners, winners[1:]))
+    assert (len(set(winners)), changes, len(routed)) == (5, 151, 152)
+    for config, scored in zip(configs, shared):
+        again = MapSearchProblem(problem.circuit, problem.candidate_edges, problem.edge_budget)
+        assert repr(scored) == repr(search_best_map(again, config))
+
+
+def test_an_unroutable_winner_reports_none_on_every_repeat():
+    """Budget 1 on ``ELEVEN_CX``: every seed picks the edge (0, 1), which
+    cannot route the chain; the failure is routed once and every search
+    reports None."""
+    problem = MapSearchProblem(parse(ELEVEN_CX), all_directed_pairs(12), 1)
+    routed = []
+    with _counted("route", routed):
+        shared = [search_best_map(problem, SearchConfig(seed=seed)) for seed in range(10)]
+    assert len(routed) == 1
+    for scored in shared:
+        assert (scored.map.edges, scored.score, scored.routing) == (((0, 1),), 1.0, None)
+
+
+def test_a_searched_problem_equals_an_unsearched_one():
+    """The derived instances and the last winner are kept on the problem,
+    but out of its ``==`` and ``repr``."""
+    searched = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=6)
+    fresh = MapSearchProblem(load_teleport(), all_directed_pairs(5), edge_budget=6)
+    search_best_map(searched, SearchConfig(seed=0))
+    assert "_winner" in vars(searched) and "_winner" not in vars(fresh)
+    assert searched == fresh and fresh == searched
+    assert repr(searched) == repr(fresh)
+
 
 def test_search_best_map_repeated_seeds_hit_optimum():
     circuit = load_teleport()
