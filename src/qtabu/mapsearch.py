@@ -192,7 +192,11 @@ def support_score(circuit: Program, cmap: CouplingMap) -> float:
 
 @dataclass
 class ScoredMap:
-    """A searched map with its knapsack score and, when routable, a report."""
+    """A searched map with its knapsack score and, when routable, a report.
+
+    Searches of one problem that land on one winner share its ``map`` and
+    ``routing`` objects, which are frozen; each has its own ``search``.
+    """
 
     map: CouplingMap
     score: float
@@ -242,8 +246,8 @@ def search_best_map(problem: MapSearchProblem, config: SearchConfig | None = Non
             iterations_run=0,
             trace=[],
         )
-    winner = problem.__dict__.get("_winner")
-    if winner is None or winner[0] != result.best_solution:
+    winner = problem.__dict__.get("_winner", (None,))
+    if winner[0] != result.best_solution:
         cmap = decode(result.best_solution, problem)
         try:
             _, report = route(problem.circuit, cmap)

@@ -359,6 +359,7 @@ class SearchResult(EngineCounters):
     at ``best_iteration`` (0: the first draw); ``iterations_run`` counts
     the iterations, and ``trace`` holds one ``(iteration, current
     evaluation, best evaluation)`` row for each.
+
     Each run returns a fresh result, and ``search_best_map`` rewrites it in
     place: ``best_solution`` becomes one bit per candidate edge, and a run
     that ends over the budget gets the empty selection's
